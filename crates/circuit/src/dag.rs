@@ -181,13 +181,14 @@ impl<'a> Frontier<'a> {
         self.executed[id.0]
     }
 
-    /// Marks `id` as executed and returns the newly ready gates.
+    /// Marks `id` as executed and moves the successors it unlocks into
+    /// the ready list.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not currently ready (dependencies unsatisfied or
     /// already executed).
-    pub fn complete(&mut self, id: GateId) -> Vec<GateId> {
+    pub fn complete(&mut self, id: GateId) {
         let pos = self
             .ready
             .iter()
@@ -197,38 +198,25 @@ impl<'a> Frontier<'a> {
         self.executed[id.0] = true;
         self.executed_count += 1;
 
-        let mut newly = Vec::new();
         for &s in self.dag.succs(id) {
             self.indegree[s.0] -= 1;
             if self.indegree[s.0] == 0 {
-                newly.push(s);
+                // Keep the ready list sorted for deterministic scheduling.
+                let ins = self.ready.partition_point(|&r| r < s);
+                self.ready.insert(ins, s);
             }
         }
-        // Keep the ready list sorted for deterministic scheduling.
-        for &g in &newly {
-            let ins = self.ready.partition_point(|&r| r < g);
-            self.ready.insert(ins, g);
-        }
-        newly
     }
 
     /// ASAP layer of every *unexecuted* gate relative to the current
     /// frontier (ready gates are layer 0). Executed gates map to `None`.
     ///
     /// This is the `ℓ - ℓc` term of the paper's lookahead weight,
-    /// recomputed as the schedule advances.
+    /// recomputed from scratch (the compiler's router maintains a capped
+    /// copy incrementally instead).
     pub fn remaining_layers(&self) -> Vec<Option<usize>> {
-        let mut rel = Vec::new();
-        self.remaining_layers_into(&mut rel);
-        rel
-    }
-
-    /// [`Frontier::remaining_layers`] into a caller-owned buffer, so a
-    /// scheduler recomputing layers every step reuses one allocation.
-    pub fn remaining_layers_into(&self, rel: &mut Vec<Option<usize>>) {
         let n = self.dag.len();
-        rel.clear();
-        rel.resize(n, None);
+        let mut rel = vec![None; n];
         // Process in id order: predecessors always have smaller ids
         // because gates are appended in program order.
         for i in 0..n {
@@ -239,11 +227,12 @@ impl<'a> Frontier<'a> {
                 .dag
                 .preds(GateId(i))
                 .iter()
-                .filter_map(|p| rel[p.0].map(|x| x + 1))
+                .filter_map(|p| rel[p.0].map(|x: usize| x + 1))
                 .max()
                 .unwrap_or(0);
             rel[i] = Some(l);
         }
+        rel
     }
 }
 
@@ -308,8 +297,8 @@ mod tests {
         let dag = c.dag();
         let mut f = dag.frontier();
         assert_eq!(f.ready(), &[GateId(0)]);
-        let newly = f.complete(GateId(0));
-        assert_eq!(newly, vec![GateId(1)]);
+        f.complete(GateId(0));
+        assert_eq!(f.ready(), &[GateId(1)]);
         f.complete(GateId(1));
         assert_eq!(f.ready(), &[GateId(2)]);
         f.complete(GateId(2));

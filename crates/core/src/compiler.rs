@@ -6,8 +6,8 @@
 //! the pass-by-pass breakdown and the artifact-reuse seam.
 
 use crate::passes::{PassContext, PassReport, Pipeline};
-use crate::placement::{initial_placement_with, PlacementScratch};
-use crate::scheduler::{frontier_weights, run, ScheduleResult};
+use crate::placement::{check_capacity, circuit_weights, initial_placement_with, PlacementScratch};
+use crate::scheduler::{run, ScheduleResult};
 use crate::{CompileError, CompilerConfig, QubitMap};
 use na_arch::{Grid, InteractionGraph, RestrictionZone, Site};
 use na_circuit::{decompose_circuit, Circuit, DecomposeLevel, Gate, Qubit};
@@ -276,15 +276,22 @@ pub fn compile_monolithic(
         }
     }
 
-    let dag = lowered.dag();
-    let frontier = dag.frontier();
-    let weights = frontier_weights(&lowered, &frontier, config.lookahead_depth);
+    check_capacity(&lowered, grid)?;
+    let weights = circuit_weights(&lowered, config.lookahead_depth);
     let map0 = initial_placement_with(&lowered, grid, &weights, scratch)?;
     let initial_table = map0.to_table();
     na_faults::check_deadline()?;
 
     let graph = InteractionGraph::cached(grid, config.mid);
-    let result = run(&lowered, grid, &graph, config, map0)?;
+    let result = run(
+        &lowered,
+        grid,
+        &graph,
+        config,
+        map0,
+        &mut scratch.lookahead,
+        na_telemetry::is_enabled(),
+    )?;
     na_faults::check_deadline()?;
 
     let used_sites = CompiledCircuit::compute_used_sites(&initial_table, &result.ops);

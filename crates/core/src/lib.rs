@@ -59,7 +59,7 @@ pub use compiler::{
     CompiledCircuit, CompiledMetrics, ScheduledOp, SiteList, VerifyError,
 };
 pub use config::{CompileError, CompilerConfig};
-pub use lookahead::{InteractionWeights, WeightScratch};
+pub use lookahead::{InteractionWeights, PartnerWeights};
 pub use mapping::QubitMap;
 pub use passes::{
     ArtifactKey, ArtifactStore, Pass, PassArtifacts, PassContext, PassReport, PassTiming, Pipeline,

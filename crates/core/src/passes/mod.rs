@@ -41,8 +41,8 @@
 //! `tests/pipeline_differential.rs`).
 
 use crate::compiler::{lower_for, verify_parts, CompiledCircuit};
-use crate::placement::{initial_placement_with, PlacementScratch};
-use crate::scheduler::{frontier_weights, run, ScheduleResult};
+use crate::placement::{check_capacity, circuit_weights, initial_placement_with, PlacementScratch};
+use crate::scheduler::{run, ScheduleResult};
 use crate::{CompileError, CompilerConfig, QubitMap};
 use na_arch::{Grid, InteractionGraph, Site};
 use na_circuit::{Circuit, Gate, Qubit};
@@ -466,10 +466,12 @@ impl Pass for Place {
                 art.placement.clone()
             }
             None => {
+                if let Err(e) = check_capacity(&lowered, ctx.grid) {
+                    ctx.lowered = Some(lowered);
+                    return Err(e);
+                }
                 let place_span = na_telemetry::time(na_telemetry::Stage::Place);
-                let dag = lowered.dag();
-                let frontier = dag.frontier();
-                let weights = frontier_weights(&lowered, &frontier, ctx.config.lookahead_depth);
+                let weights = circuit_weights(&lowered, ctx.config.lookahead_depth);
                 let map0 = initial_placement_with(&lowered, ctx.grid, &weights, ctx.scratch);
                 drop(place_span);
                 let map0 = match map0 {
@@ -506,8 +508,11 @@ impl Pass for Place {
 
 /// `route_schedule`: the restriction-zone frontier scheduler
 /// ([`crate::scheduler`]), which reports its own routing vs scheduling
-/// split under `Stage::Route`/`Stage::Schedule`. Stats: `ops`,
-/// `swaps`, `timesteps`.
+/// split under `Stage::Route`/`Stage::Schedule` and the routing
+/// sub-stages under `Stage::Weights`/`Stage::SwapSelect`/
+/// `Stage::ForcedHop`. Stats: `ops`, `swaps`, `timesteps`, and under a
+/// reporting runner the sub-stage nanoseconds `weights`,
+/// `swap_select` and `forced_hop` (the metric names).
 struct RouteSchedule;
 
 impl Pass for RouteSchedule {
@@ -522,9 +527,23 @@ impl Pass for RouteSchedule {
         // (SWAP scoring, forced hops) runs over; memoized per
         // (grid, MID).
         let graph = InteractionGraph::cached(ctx.grid, ctx.config.mid);
-        let result = run(&lowered, ctx.grid, &graph, ctx.config, map0);
+        let timed = na_telemetry::is_enabled() || ctx.stats.is_some();
+        let result = run(
+            &lowered,
+            ctx.grid,
+            &graph,
+            ctx.config,
+            map0,
+            &mut ctx.scratch.lookahead,
+            timed,
+        );
         ctx.lowered = Some(lowered);
         let result = result?;
+        if let Some(split) = result.route_split {
+            ctx.stat(na_telemetry::Stage::Weights.name(), split.weights_ns);
+            ctx.stat(na_telemetry::Stage::SwapSelect.name(), split.swap_select_ns);
+            ctx.stat(na_telemetry::Stage::ForcedHop.name(), split.forced_hop_ns);
+        }
         ctx.stat("ops", result.ops.len() as u64);
         ctx.stat(
             "swaps",
@@ -765,6 +784,15 @@ mod tests {
         );
         assert!(by_name("lower").stats["gates"] > 0);
         assert_eq!(by_name("verify").stats["skipped"], 1);
+        // The routing sub-stages carry their metric names.
+        let route = &by_name("route_schedule").stats;
+        for stage in [
+            na_telemetry::Stage::Weights,
+            na_telemetry::Stage::SwapSelect,
+            na_telemetry::Stage::ForcedHop,
+        ] {
+            assert!(route.contains_key(stage.name()), "{} missing", stage.name());
+        }
     }
 
     #[test]

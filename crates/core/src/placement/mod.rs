@@ -81,13 +81,8 @@ pub fn initial_placement_with(
     weights: &InteractionWeights,
     scratch: &mut PlacementScratch,
 ) -> Result<QubitMap, CompileError> {
+    check_capacity(circuit, grid)?;
     let n = circuit.num_qubits();
-    if (n as usize) > grid.num_usable() {
-        return Err(CompileError::ProgramTooLarge {
-            program: n,
-            usable: grid.num_usable(),
-        });
-    }
 
     // Pre-size the flat site table to the device so placement and the
     // downstream router never regrow it.
@@ -292,14 +287,34 @@ fn nearest_free_site(free: &FreeSites, anchor: Site) -> Option<Site> {
     best.map(|(_, s)| s)
 }
 
+/// Fails with [`CompileError::ProgramTooLarge`] when `circuit` has more
+/// qubits than `grid` has usable atoms. Every compile path runs this
+/// before its first per-qubit allocation, so an absurd register size
+/// is a typed error rather than an out-of-memory abort.
+pub(crate) fn check_capacity(circuit: &Circuit, grid: &Grid) -> Result<(), CompileError> {
+    let n = circuit.num_qubits();
+    if (n as usize) > grid.num_usable() {
+        return Err(CompileError::ProgramTooLarge {
+            program: n,
+            usable: grid.num_usable(),
+        });
+    }
+    Ok(())
+}
+
 /// Builds the lookahead interaction weights [`initial_placement`]
 /// consumes for a (possibly pre-lowered) circuit, exactly as
-/// [`crate::compile`] does before placing: DAG frontier at time zero,
-/// decaying over `lookahead_depth` layers.
+/// [`crate::compile`] does before placing: every gate at its
+/// [`CircuitDag::layer`](na_circuit::CircuitDag::layer) (the frontier
+/// at time zero), decaying over `lookahead_depth` layers.
 pub fn circuit_weights(circuit: &Circuit, lookahead_depth: usize) -> InteractionWeights {
     let dag = circuit.dag();
-    let frontier = dag.frontier();
-    crate::scheduler::frontier_weights(circuit, &frontier, lookahead_depth)
+    let operands = crate::scheduler::GateOperands::of(circuit);
+    InteractionWeights::from_layered_gates(
+        circuit.num_qubits(),
+        (0..operands.len()).map(|i| (operands.get(i), dag.layer(na_circuit::GateId(i)))),
+        lookahead_depth,
+    )
 }
 
 /// The initial placement [`crate::compile`] would start from: lowers
@@ -319,6 +334,7 @@ pub fn initial_layout(
     config: &CompilerConfig,
 ) -> Result<QubitMap, CompileError> {
     let lowered = crate::compiler::lower_for(circuit, config);
+    check_capacity(&lowered, grid)?;
     let weights = circuit_weights(&lowered, config.lookahead_depth);
     initial_placement(&lowered, grid, &weights)
 }

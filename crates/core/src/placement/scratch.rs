@@ -1,12 +1,14 @@
 //! Reusable working memory for the placement fast path.
 
 use super::candidates::FreeSites;
+use crate::lookahead::LookaheadScratch;
 use na_arch::{Grid, Site};
 
 /// Working memory carried through [`crate::compile`] (and reusable
 /// across compilations): the maintained free-site list, the lazily
-/// cached weight-to-mapped totals that drive placement order, and the
-/// mapped-partner buffer of the site scan.
+/// cached weight-to-mapped totals that drive placement order, the
+/// mapped-partner buffer of the site scan, and the router's lookahead
+/// window buffers.
 ///
 /// All buffers grow to the device/program size on first use and are
 /// reused afterwards; a fresh scratch per call reproduces the seed
@@ -44,6 +46,8 @@ pub struct PlacementScratch {
     pub(super) dirty: Vec<bool>,
     /// Mapped-partner `(site, weight)` buffer of the site scan.
     pub(super) partners: Vec<(Site, f64)>,
+    /// The scheduler's per-gate and per-qubit lookahead buffers.
+    pub(crate) lookahead: LookaheadScratch,
 }
 
 impl PlacementScratch {

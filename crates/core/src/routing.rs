@@ -19,7 +19,8 @@
 //! device corners), so compilation always terminates on connected
 //! topologies.
 
-use crate::{InteractionWeights, QubitMap};
+use crate::lookahead::PartnerWeights;
+use crate::QubitMap;
 use na_arch::{BfsScratch, Grid, InteractionGraph, Site};
 use na_circuit::Qubit;
 
@@ -72,6 +73,53 @@ pub fn all_within_mid(operands: &[Qubit], map: &QubitMap, mid: f64) -> bool {
     true
 }
 
+/// Reusable working memory of [`best_swap_for_gate`].
+#[derive(Debug, Clone, Default)]
+pub struct SwapScratch {
+    /// `(φ(v), w(u, v), d(φ(u), φ(v)))` for each mapped partner `v` of
+    /// the operand `u` being moved, in partner order.
+    terms: Vec<(Site, f64, f64)>,
+}
+
+impl SwapScratch {
+    /// Fresh scratch; grows on first use.
+    pub fn new() -> Self {
+        SwapScratch::default()
+    }
+}
+
+/// Largest `d(φ(u), target)²` for which [`strictly_closer`] may decide
+/// on integers.
+const EXACT_SQ_LIMIT: i64 = 1 << 40;
+
+/// The strictly-closer constraint `d(h, t) + 1e-12 < d(s, t)` of
+/// [`best_swap_for_gate`], given `gap_sq = d(s, t)²` and
+/// `gap = d(s, t)` as computed by [`Site::distance`].
+///
+/// Whenever `gap_sq ≤ 2⁴⁰` it compares squared distances, with the
+/// same result as the `f64` test:
+///
+/// * `a = d(h, t)² ≥ b = gap_sq`: `i64 → f64` conversion, `sqrt` and
+///   the addition of `1e-12` are all monotone under round-to-nearest,
+///   so `fl(fl(√a) + 1e-12) ≥ fl(√b)` and both tests reject.
+/// * `a < b ≤ 2⁴⁰`: both convert to `f64` exactly, and
+///   `√b − √a ≥ √b − √(b−1) = 1/(√b + √(b−1)) > 2⁻²¹ ≈ 4.8·10⁻⁷`.
+///   Each of the two square roots and the addition rounds by at most
+///   half an ulp of a value below `2²⁰ + 1`, i.e. at most `2⁻³³`, so
+///   `fl(fl(√a) + 1e-12) ≤ √a + 1e-12 + 2·2⁻³³ < √b − 2⁻³³ ≤ fl(√b)`,
+///   and both tests accept.
+///
+/// Larger gaps, which only grids wider than `2²⁰` sites can produce,
+/// take the `f64` test itself.
+#[inline]
+fn strictly_closer(h: Site, t: Site, gap_sq: i64, gap: f64) -> bool {
+    if gap_sq <= EXACT_SQ_LIMIT {
+        h.distance_sq(t) < gap_sq
+    } else {
+        h.distance(t) + 1e-12 < gap
+    }
+}
+
 /// The best-scoring SWAP that moves one operand of the gate strictly
 /// closer to its farthest co-operand. Returns `None` when no usable
 /// candidate site satisfies the strictly-closer constraint (the caller
@@ -79,13 +127,18 @@ pub fn all_within_mid(operands: &[Qubit], map: &QubitMap, mid: f64) -> bool {
 ///
 /// Candidate sites come from the precomputed [`InteractionGraph`]
 /// (built at the same MID), so the scan is a flat slice walk with no
-/// per-call allocation.
-pub fn best_swap_for_gate(
+/// per-call allocation once `scratch` has grown. Lookahead partners
+/// are refreshed on demand: only the operand being moved and the
+/// occupant of a candidate site that passes the strictly-closer and
+/// co-operand filters, right before that candidate is scored. Scores
+/// equal [`swap_score`] bit for bit.
+pub fn best_swap_for_gate<W: PartnerWeights + ?Sized>(
     operands: &[Qubit],
     map: &QubitMap,
     graph: &InteractionGraph,
-    weights: &InteractionWeights,
+    weights: &mut W,
     mid: f64,
+    scratch: &mut SwapScratch,
 ) -> Option<SwapMove> {
     let mut best: Option<SwapMove> = None;
     for &u in operands {
@@ -104,20 +157,41 @@ pub fn best_swap_for_gate(
         if su.within(st, mid) && operands.len() == 2 {
             continue; // this pair is already satisfied
         }
+        let (gap_sq, gap) = (su.distance_sq(st), su.distance(st));
+        let mut u_terms_ready = false;
         let su_index = graph.index_of(su).expect("mapped sites are on the grid");
         for h in graph.neighbor_sites(su_index) {
             // Strictly-closer constraint toward the immediate partner.
-            if h.distance(st) + 1e-12 >= su.distance(st) {
+            if !strictly_closer(h, st, gap_sq, gap) {
                 continue;
             }
             // Never displace a co-operand of the same gate; that undoes
             // progress on another pair.
-            if let Some(q) = map.qubit_at(h) {
-                if operands.contains(&q) {
-                    continue;
+            let displaced = map.qubit_at(h);
+            if displaced.is_some_and(|q| operands.contains(&q)) {
+                continue;
+            }
+            if !u_terms_ready {
+                weights.refresh(u);
+                scratch.terms.clear();
+                for &(v, w) in weights.partners(u) {
+                    if let Some(sv) = map.site_of(v) {
+                        scratch.terms.push((sv, w, su.distance(sv)));
+                    }
+                }
+                u_terms_ready = true;
+            }
+            // The terms of `swap_score`, in its order.
+            let mut score = 0.0;
+            for &(sv, w, d_su) in &scratch.terms {
+                if sv != h {
+                    score += (d_su - h.distance(sv)) * w;
                 }
             }
-            let score = swap_score(u, su, h, map, weights);
+            if let Some(q) = displaced {
+                weights.refresh(q);
+                add_displaced_terms(&mut score, u, su, h, q, map, weights);
+            }
             let better = match best {
                 None => true,
                 Some(b) => {
@@ -137,13 +211,15 @@ pub fn best_swap_for_gate(
     best
 }
 
-/// The paper's dual-term SWAP score (see module docs).
-pub fn swap_score(
+/// The paper's dual-term SWAP score (see module docs). Reads the
+/// partners of `u` and of the occupant of `h`, which must be fresh
+/// (see [`PartnerWeights::refresh`]).
+pub fn swap_score<W: PartnerWeights + ?Sized>(
     u: Qubit,
     su: Site,
     h: Site,
     map: &QubitMap,
-    weights: &InteractionWeights,
+    weights: &W,
 ) -> f64 {
     let mut score = 0.0;
     for &(v, w) in weights.partners(u) {
@@ -157,16 +233,31 @@ pub fn swap_score(
         }
     }
     if let Some(displaced) = map.qubit_at(h) {
-        for &(v, w) in weights.partners(displaced) {
-            if v == u {
-                continue;
-            }
-            if let Some(sv) = map.site_of(v) {
-                score += (h.distance(sv) - su.distance(sv)) * w;
-            }
-        }
+        add_displaced_terms(&mut score, u, su, h, displaced, map, weights);
     }
     score
+}
+
+/// Adds the damage terms of [`swap_score`] to the running `score`, in
+/// order: `displaced`, the occupant of `h`, moves to `su`.
+#[inline]
+fn add_displaced_terms<W: PartnerWeights + ?Sized>(
+    score: &mut f64,
+    u: Qubit,
+    su: Site,
+    h: Site,
+    displaced: Qubit,
+    map: &QubitMap,
+    weights: &W,
+) {
+    for &(v, w) in weights.partners(displaced) {
+        if v == u {
+            continue;
+        }
+        if let Some(sv) = map.site_of(v) {
+            *score += (h.distance(sv) - su.distance(sv)) * w;
+        }
+    }
 }
 
 /// The usable site minimizing the maximum Euclidean distance to the
@@ -211,6 +302,7 @@ pub fn forced_hop(grid: &Grid, from: Site, goal: Site, mid: f64, blocked: &[Site
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::InteractionWeights;
 
     fn line_map(positions: &[(i32, i32)]) -> QubitMap {
         let mut m = QubitMap::new(positions.len() as u32);
@@ -245,8 +337,16 @@ mod tests {
         let grid = Grid::new(7, 1);
         let graph = InteractionGraph::cached(&grid, 2.0);
         let map = line_map(&[(0, 0), (6, 0)]);
-        let w = weights_pair(2, Qubit(0), Qubit(1));
-        let mv = best_swap_for_gate(&[Qubit(0), Qubit(1)], &map, &graph, &w, 2.0).unwrap();
+        let mut w = weights_pair(2, Qubit(0), Qubit(1));
+        let mv = best_swap_for_gate(
+            &[Qubit(0), Qubit(1)],
+            &map,
+            &graph,
+            &mut w,
+            2.0,
+            &mut SwapScratch::new(),
+        )
+        .unwrap();
         // Either endpoint can move, but the move must make strict progress.
         let gain_from = mv.from.distance(if mv.from.x == 0 {
             Site::new(6, 0)
@@ -267,9 +367,16 @@ mod tests {
         let grid = Grid::new(7, 1);
         let graph = InteractionGraph::cached(&grid, 2.0);
         let map = line_map(&[(0, 0), (1, 0)]);
-        let w = weights_pair(2, Qubit(0), Qubit(1));
+        let mut w = weights_pair(2, Qubit(0), Qubit(1));
         assert_eq!(
-            best_swap_for_gate(&[Qubit(0), Qubit(1)], &map, &graph, &w, 2.0),
+            best_swap_for_gate(
+                &[Qubit(0), Qubit(1)],
+                &map,
+                &graph,
+                &mut w,
+                2.0,
+                &mut SwapScratch::new()
+            ),
             None
         );
     }
@@ -280,13 +387,19 @@ mod tests {
         let grid = Grid::new(5, 1);
         let graph = InteractionGraph::cached(&grid, 1.0);
         let map = line_map(&[(0, 0), (1, 0), (4, 0)]);
-        let w = InteractionWeights::from_layered_gates(
+        let mut w = InteractionWeights::from_layered_gates(
             3,
             [(&[Qubit(0), Qubit(1), Qubit(2)][..], 0usize)],
             20,
         );
-        if let Some(mv) = best_swap_for_gate(&[Qubit(0), Qubit(1), Qubit(2)], &map, &graph, &w, 1.0)
-        {
+        if let Some(mv) = best_swap_for_gate(
+            &[Qubit(0), Qubit(1), Qubit(2)],
+            &map,
+            &graph,
+            &mut w,
+            1.0,
+            &mut SwapScratch::new(),
+        ) {
             let displaced = map.qubit_at(mv.to);
             assert!(
                 displaced.is_none_or(|q| q.0 > 2 || mv.to == Site::new(4, 0)),
@@ -379,5 +492,97 @@ mod tests {
             forced_hop(&grid, Site::new(0, 0), Site::new(4, 0), 1.0, &[]),
             None
         );
+    }
+
+    /// The `f64` form of the strictly-closer test, as the router ran it
+    /// before the integer path existed.
+    fn float_closer(h: Site, t: Site, s: Site) -> bool {
+        h.distance(t) + 1e-12 < s.distance(t)
+    }
+
+    fn assert_same_verdicts(h: Site, t: Site, s: Site) {
+        assert_eq!(
+            strictly_closer(h, t, s.distance_sq(t), s.distance(t)),
+            float_closer(h, t, s),
+            "h={h} t={t} s={s}"
+        );
+    }
+
+    #[test]
+    fn strictly_closer_matches_the_float_test_on_every_grid() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Exhaustive on a paper-sized device.
+        let sites: Vec<Site> = (0..12)
+            .flat_map(|y| (0..12).map(move |x| Site::new(x, y)))
+            .collect();
+        for &t in &sites {
+            for &s in &sites {
+                for &h in &sites {
+                    assert_same_verdicts(h, t, s);
+                }
+            }
+        }
+        // The integer path's limit, d² = 2⁴⁰: candidates one MID-13
+        // stencil around a source at, just inside and just beyond it.
+        let t = Site::new(0, 0);
+        let edge = 1 << 20;
+        let mut rng = StdRng::seed_from_u64(40);
+        for s in [
+            Site::new(edge, 0),
+            Site::new(edge - 1, 1448),
+            Site::new(741_455, 743_574),
+            Site::new(edge, 1),
+        ] {
+            for dy in -13..=13 {
+                for dx in -13..=13 {
+                    assert_same_verdicts(Site::new(s.x + dx, s.y + dy), t, s);
+                }
+            }
+            for _ in 0..1000 {
+                let h = Site::new(s.x + rng.gen_range(-5..=5), s.y + rng.gen_range(-5..=5));
+                assert_same_verdicts(h, Site::new(rng.gen_range(0..3), rng.gen_range(0..3)), s);
+            }
+        }
+        // The largest grid sites can address: i32 coordinates, so any
+        // squared distance fits an i64.
+        let max = i32::MAX;
+        // A diagonal step two units closer at d ≈ 2³¹·√2: integers say
+        // closer, the f64 test (and so the router) says not, because
+        // the gain is below an ulp. Only the f64 fallback beyond the
+        // limit keeps the verdict.
+        let y = (max - 2) / 2 * 2 - 2;
+        let (h, t, s) = (
+            Site::new(y + 1, y + 1),
+            Site::new(0, 0),
+            Site::new(y + 2, y),
+        );
+        assert!(h.distance_sq(t) < s.distance_sq(t) && !float_closer(h, t, s));
+        assert_same_verdicts(h, t, s);
+        for (h, t, s) in [
+            (
+                Site::new(max - 1, max),
+                Site::new(0, 0),
+                Site::new(max, max),
+            ),
+            (
+                Site::new(max, max),
+                Site::new(0, 0),
+                Site::new(max - 1, max),
+            ),
+            (Site::new(1, 0), Site::new(max, 0), Site::new(0, 0)),
+            (Site::new(0, 0), Site::new(max, max), Site::new(1, 1)),
+        ] {
+            assert_same_verdicts(h, t, s);
+        }
+        for _ in 0..10_000 {
+            let mut site = || Site::new(rng.gen_range(0..=max), rng.gen_range(0..=max));
+            let (t, s) = (site(), site());
+            let h = Site::new(
+                s.x.saturating_add(rng.gen_range(-13..=13)).max(0),
+                s.y.saturating_add(rng.gen_range(-13..=13)).max(0),
+            );
+            assert_same_verdicts(h, t, s);
+        }
     }
 }

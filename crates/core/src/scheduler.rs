@@ -21,29 +21,43 @@
 //! nothing per timestep in steady state: gate operands live in a
 //! flattened CSR table built once per compile, the per-step
 //! `ready`/`in_range`/zone collections are reusable buffers, completion
-//! is a bit mask, zone conflicts go through a bounding-box prefilter,
-//! and lookahead weights are rebuilt lazily (only when a completed gate
-//! has shifted the frontier *and* a long-distance gate actually needs a
-//! SWAP scored) into reused adjacency buffers. Emitted ops store their
-//! operand sites in an inline [`SiteList`] (up to three sites — SWAPs,
-//! 1q/2q gates, native Toffolis — with a heap spill only for larger
-//! CNX decompositions), so in steady state the loop allocates nothing
-//! per op beyond the `ops` vector's amortized growth.
+//! is a bit mask, and zone conflicts go through a bounding-box
+//! prefilter. Emitted ops store their operand sites in an inline
+//! [`SiteList`] (up to three sites — SWAPs, 1q/2q gates, native
+//! Toffolis — with a heap spill only for larger CNX decompositions),
+//! so in steady state the loop allocates nothing per op beyond the
+//! `ops` vector's amortized growth.
+//!
+//! Lookahead weights are never rebuilt. A `LookaheadWindow`
+//! ([`crate::lookahead`]) keeps each gate's relative layer capped at
+//! `lookahead_depth + 1`, batches the step's completions, and pushes
+//! them through the DAG only when a long-distance gate needs a SWAP
+//! scored. SWAP selection then
+//! refreshes the partner lists of just the qubits it scores — the
+//! operand being moved and the occupant of each admissible candidate
+//! site — from a per-qubit gate index. The window's buffers live in
+//! the per-worker [`PlacementScratch`](crate::PlacementScratch), so
+//! repeated compiles reuse them.
 //!
 //! # Telemetry split
 //!
-//! [`run`] reports its wall time under two stages: `Stage::Route`
-//! (SWAP insertion and forced BFS hops — phase 2/3 above) and
-//! `Stage::Schedule` (everything else: frontier refill, in-range
-//! packing, zone claims). Both are recorded once per compile, cost
-//! zero clock reads when telemetry is disabled, and are strictly
-//! observational.
+//! [`run`] reports its wall time under `Stage::Route` (SWAP insertion
+//! and forced BFS hops — phase 2/3 above) and `Stage::Schedule`
+//! (everything else: frontier refill, in-range packing, zone claims).
+//! Routing is further split into `Stage::Weights` (bringing partner
+//! lists up to date), `Stage::SwapSelect` (the rest of SWAP
+//! selection: candidate scans, scoring, zone claims) and
+//! `Stage::ForcedHop` (the BFS fallback). Each is recorded once per
+//! compile and costs zero clock reads unless timing is requested; the
+//! `route_schedule` pass reports the sub-stages under the same names.
 
-use crate::routing::{all_within_mid, best_swap_for_gate, meeting_point_of_sites};
-use crate::{CompileError, CompilerConfig, InteractionWeights, QubitMap, WeightScratch};
+use crate::lookahead::{LookaheadScratch, LookaheadWindow};
+use crate::routing::{all_within_mid, best_swap_for_gate, meeting_point_of_sites, SwapScratch};
+use crate::{CompileError, CompilerConfig, QubitMap};
 use na_arch::{BfsScratch, Grid, InteractionGraph, RestrictionPolicy, Site};
-use na_circuit::{Circuit, Frontier, GateId, Qubit};
+use na_circuit::{Circuit, GateId, Qubit};
 use std::fmt;
+use std::time::Instant;
 
 /// One operation in the compiled schedule.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -223,12 +237,22 @@ fn max_pairwise_distance(sites: &[Site]) -> f64 {
     d
 }
 
-/// Output of [`run`]: the time-stamped ops, the final mapping, and the
-/// number of timesteps used.
+/// Output of [`run`]: the time-stamped ops, the final mapping, the
+/// number of timesteps used, and the routing split when timed.
 pub(crate) struct ScheduleResult {
     pub ops: Vec<ScheduledOp>,
     pub final_map: QubitMap,
     pub num_timesteps: u32,
+    pub route_split: Option<RouteSplit>,
+}
+
+/// Wall time of the routing sub-stages of one [`run`] (see the module
+/// docs).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RouteSplit {
+    pub weights_ns: u64,
+    pub swap_select_ns: u64,
+    pub forced_hop_ns: u64,
 }
 
 /// Flattened per-gate operand lists in CSR layout, built once per
@@ -370,14 +394,25 @@ impl ZoneBuffer {
     }
 }
 
-/// Schedules a (pre-lowered) circuit starting from `initial` placement.
+/// Schedules a (pre-lowered) circuit starting from `initial` placement,
+/// reusing `scratch` for the lookahead window. With `timed`, measures
+/// the routing split (returned, and recorded when telemetry is on).
+///
+/// # Errors
+///
+/// [`CompileError::ProgramTooLarge`] before any per-qubit allocation
+/// if the program outgrows the grid; [`CompileError::RoutingStuck`] or
+/// [`CompileError::Disconnected`] if routing cannot finish.
 pub(crate) fn run(
     circuit: &Circuit,
     grid: &Grid,
     graph: &InteractionGraph,
     config: &CompilerConfig,
     initial: QubitMap,
+    scratch: &mut LookaheadScratch,
+    timed: bool,
 ) -> Result<ScheduleResult, CompileError> {
+    crate::placement::check_capacity(circuit, grid)?;
     let dag = circuit.dag();
     let mut frontier = dag.frontier();
     let mut map = initial;
@@ -389,22 +424,14 @@ pub(crate) fn run(
         .saturating_add(1024);
 
     let operands = GateOperands::of(circuit);
-
-    // Lookahead weights change only when gates complete, and are only
-    // read when a long-distance gate needs a SWAP scored — rebuild
-    // lazily at first use after a completion.
-    let mut weights = InteractionWeights::empty(circuit.num_qubits());
-    let mut weight_scratch = WeightScratch::new();
-    let mut layer_scratch: Vec<Option<usize>> = Vec::new();
-    rebuild_weights(
+    let mut window = LookaheadWindow::new(
+        &dag,
         &operands,
-        &frontier,
+        circuit.num_qubits(),
         config.lookahead_depth,
-        &mut layer_scratch,
-        &mut weight_scratch,
-        &mut weights,
+        scratch,
+        timed,
     );
-    let mut weights_dirty = false;
 
     // Reusable per-step buffers (see module docs).
     let mut ready: Vec<GateId> = Vec::new();
@@ -414,12 +441,14 @@ pub(crate) fn run(
     let mut zones = ZoneBuffer::new(config.restriction);
     let mut site_scratch: Vec<Site> = Vec::new();
     let mut bfs_scratch = BfsScratch::new();
+    let mut swap_scratch = SwapScratch::new();
 
-    // Routing vs scheduling telemetry split (see module docs): the
-    // routing phases accumulate into `route_ns`, the remainder of the
-    // loop reports as `Stage::Schedule`. No clock reads when disabled.
-    let run_start = na_telemetry::is_enabled().then(std::time::Instant::now);
-    let mut route_ns: u64 = 0;
+    // Telemetry split (see module docs): SWAP selection and forced
+    // hops accumulate separately; the window clocks its own refreshes.
+    // No clock reads unless timed.
+    let run_start = timed.then(Instant::now);
+    let mut select_ns: u64 = 0;
+    let mut forced_ns: u64 = 0;
 
     while !frontier.is_done() {
         if time as usize > step_budget {
@@ -482,7 +511,7 @@ pub(crate) fn run(
         }
 
         // Phase B: one routing SWAP per remaining long-distance gate.
-        let route_start = run_start.map(|_| std::time::Instant::now());
+        let select_start = run_start.map(|_| Instant::now());
         for &id in &ready {
             if completed_mask.contains(id.0) {
                 continue;
@@ -492,19 +521,14 @@ pub(crate) fn run(
                 // In range but zone-blocked: just wait.
                 continue;
             }
-            if weights_dirty {
-                rebuild_weights(
-                    &operands,
-                    &frontier,
-                    config.lookahead_depth,
-                    &mut layer_scratch,
-                    &mut weight_scratch,
-                    &mut weights,
-                );
-                weights_dirty = false;
-            }
-            let Some(mv) = best_swap_for_gate(ops_of_gate, &map, graph, &weights, config.mid)
-            else {
+            let Some(mv) = best_swap_for_gate(
+                ops_of_gate,
+                &map,
+                graph,
+                &mut window,
+                config.mid,
+                &mut swap_scratch,
+            ) else {
                 continue;
             };
             if !zones.try_claim(&[mv.from, mv.to]) {
@@ -518,9 +542,13 @@ pub(crate) fn run(
             map.swap_sites(mv.from, mv.to);
             scheduled += 1;
         }
+        if let Some(t) = select_start {
+            select_ns += t.elapsed().as_nanos() as u64;
+        }
 
         // Fallback: force one BFS hop so the schedule always advances.
         if scheduled == 0 {
+            let forced_start = run_start.map(|_| Instant::now());
             let id = ready[0];
             let (from, to) = forced_move(
                 operands.get(id.0),
@@ -536,71 +564,43 @@ pub(crate) fn run(
                 sites: SiteList::pair(from, to),
             });
             map.swap_sites(from, to);
-        }
-        if let Some(t) = route_start {
-            route_ns += t.elapsed().as_nanos() as u64;
+            if let Some(t) = forced_start {
+                forced_ns += t.elapsed().as_nanos() as u64;
+            }
         }
 
-        for id in completed.iter() {
-            frontier.complete(*id);
-        }
-        if !completed.is_empty() && !frontier.is_done() {
-            weights_dirty = true;
+        // Completions take effect for the next step's lookahead.
+        for &id in &completed {
+            frontier.complete(id);
+            window.complete(id);
         }
         time += 1;
     }
 
-    if let Some(t0) = run_start {
+    let route_split = run_start.map(|t0| {
+        let weights_ns = window.weights_ns();
+        let split = RouteSplit {
+            weights_ns,
+            swap_select_ns: select_ns.saturating_sub(weights_ns),
+            forced_hop_ns: forced_ns,
+        };
+        let route_ns = select_ns + forced_ns;
         let total = t0.elapsed().as_nanos() as u64;
-        na_telemetry::record_ns(na_telemetry::Stage::Route, route_ns);
-        na_telemetry::record_ns(
-            na_telemetry::Stage::Schedule,
-            total.saturating_sub(route_ns),
-        );
-    }
+        use na_telemetry::{record_ns, Stage};
+        record_ns(Stage::Route, route_ns);
+        record_ns(Stage::Weights, split.weights_ns);
+        record_ns(Stage::SwapSelect, split.swap_select_ns);
+        record_ns(Stage::ForcedHop, split.forced_hop_ns);
+        record_ns(Stage::Schedule, total.saturating_sub(route_ns));
+        split
+    });
 
     Ok(ScheduleResult {
         ops,
         final_map: map,
         num_timesteps: time,
+        route_split,
     })
-}
-
-/// Builds lookahead weights from the live frontier.
-pub(crate) fn frontier_weights(
-    circuit: &Circuit,
-    frontier: &Frontier<'_>,
-    lookahead_depth: usize,
-) -> InteractionWeights {
-    let operands = GateOperands::of(circuit);
-    let mut weights = InteractionWeights::empty(circuit.num_qubits());
-    rebuild_weights(
-        &operands,
-        frontier,
-        lookahead_depth,
-        &mut Vec::new(),
-        &mut WeightScratch::new(),
-        &mut weights,
-    );
-    weights
-}
-
-/// Rebuilds `weights` in place from the frontier's remaining layers,
-/// reusing every buffer involved.
-fn rebuild_weights(
-    operands: &GateOperands,
-    frontier: &Frontier<'_>,
-    lookahead_depth: usize,
-    layer_scratch: &mut Vec<Option<usize>>,
-    weight_scratch: &mut WeightScratch,
-    weights: &mut InteractionWeights,
-) {
-    frontier.remaining_layers_into(layer_scratch);
-    weights.rebuild_from_layered_gates(
-        (0..operands.len()).filter_map(|i| layer_scratch[i].map(|l| (operands.get(i), l))),
-        lookahead_depth,
-        weight_scratch,
-    );
 }
 
 /// Deterministic forced hop: move the operand farthest from the gate's
@@ -663,16 +663,15 @@ fn nearest_usable_excluding(grid: &Grid, anchor: Site, excluded: &[Site]) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::initial_placement;
+    use crate::placement::{circuit_weights, initial_placement};
     use na_circuit::Circuit;
 
     fn schedule_circuit(circuit: &Circuit, grid: &Grid, config: &CompilerConfig) -> ScheduleResult {
-        let dag = circuit.dag();
-        let frontier = dag.frontier();
-        let w = frontier_weights(circuit, &frontier, config.lookahead_depth);
+        let w = circuit_weights(circuit, config.lookahead_depth);
         let map = initial_placement(circuit, grid, &w).unwrap();
         let graph = InteractionGraph::cached(grid, config.mid);
-        run(circuit, grid, &graph, config, map).unwrap()
+        let mut scratch = LookaheadScratch::default();
+        run(circuit, grid, &graph, config, map, &mut scratch, false).unwrap()
     }
 
     #[test]
@@ -808,6 +807,34 @@ mod tests {
         let b = schedule_circuit(&c, &grid, &cfg);
         assert_eq!(a.ops, b.ops);
         assert_eq!(a.num_timesteps, b.num_timesteps);
+    }
+
+    #[test]
+    fn oversized_program_is_rejected_before_the_window_is_built() {
+        let mut c = Circuit::new(5);
+        c.cnot(Qubit(0), Qubit(4));
+        let grid = Grid::new(2, 2);
+        let cfg = CompilerConfig::new(2.0);
+        let graph = InteractionGraph::cached(&grid, cfg.mid);
+        let mut scratch = LookaheadScratch::default();
+        let err = run(
+            &c,
+            &grid,
+            &graph,
+            &cfg,
+            QubitMap::new(5),
+            &mut scratch,
+            false,
+        )
+        .err()
+        .expect("5 qubits on 4 atoms");
+        assert_eq!(
+            err,
+            CompileError::ProgramTooLarge {
+                program: 5,
+                usable: 4
+            }
+        );
     }
 
     #[test]

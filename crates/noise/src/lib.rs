@@ -17,7 +17,8 @@
 //! superconducting baseline ([`NoiseParams::superconducting`]). The
 //! Rome calibration snapshot the paper used (accessed 2020-11-19) is
 //! not public; the constants here are representative of that device
-//! generation and are documented in DESIGN.md as a substitution.
+//! generation — a substitution, documented on
+//! [`NoiseParams::superconducting`].
 
 pub mod crosstalk;
 pub mod params;

@@ -64,8 +64,19 @@ pub enum Stage {
     /// Interaction-DAG construction plus initial placement.
     Place,
     /// Routing inside the scheduler loop: SWAP insertion and forced
-    /// BFS hops.
+    /// BFS hops. The sum of [`Stage::Weights`], [`Stage::SwapSelect`]
+    /// and [`Stage::ForcedHop`].
     Route,
+    /// Routing sub-stage: bringing lookahead partner lists up to date
+    /// (pushing completed gates through the layer window, refreshing
+    /// the partners of the qubits a SWAP score reads).
+    Weights,
+    /// Routing sub-stage: SWAP candidate scans, scoring and zone
+    /// claims, minus [`Stage::Weights`].
+    SwapSelect,
+    /// Routing sub-stage: forced BFS hops when a step would otherwise
+    /// be empty.
+    ForcedHop,
     /// Restriction-zone gate scheduling (the scheduler loop minus the
     /// routing phases reported under [`Stage::Route`]).
     Schedule,
@@ -83,12 +94,15 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 12;
     /// All stages, in snapshot order.
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::Lower,
         Stage::Place,
         Stage::Route,
+        Stage::Weights,
+        Stage::SwapSelect,
+        Stage::ForcedHop,
         Stage::Schedule,
         Stage::Verify,
         Stage::Remap,
@@ -109,6 +123,9 @@ impl Stage {
             Stage::Lower => "lower",
             Stage::Place => "place",
             Stage::Route => "route",
+            Stage::Weights => "weights",
+            Stage::SwapSelect => "swap_select",
+            Stage::ForcedHop => "forced_hop",
             Stage::Schedule => "schedule",
             Stage::Verify => "verify",
             Stage::Remap => "remap",
