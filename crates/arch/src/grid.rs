@@ -219,7 +219,10 @@ impl Grid {
     /// All usable sites within Euclidean distance `mid` of `site`,
     /// excluding `site` itself, in ascending `Site` order.
     pub fn neighbors_within(&self, site: Site, mid: f64) -> Vec<Site> {
-        let r = mid.floor() as i32;
+        // No offset wider than the grid reaches a site, so clamping the
+        // stencil radius there keeps the neighbour set (and a huge or
+        // infinite MID from looping ~2⁶⁴ times).
+        let r = mid.min(f64::from(self.width.max(self.height))).floor() as i32;
         let mut out = Vec::new();
         for dy in -r..=r {
             for dx in -r..=r {

@@ -50,8 +50,9 @@ pub struct InteractionGraph {
     height: u32,
     mid: f64,
     /// The MID's neighbor offset stencil: every `(dx, dy) != (0, 0)`
-    /// with `dx² + dy² ≤ mid²`, in ascending `(dx, dy)` order (which
-    /// makes per-site neighbor lists ascend in `Site` order).
+    /// with `dx² + dy² ≤ mid²` and `|dx|, |dy| ≤ max(width, height)`,
+    /// in ascending `(dx, dy)` order (which makes per-site neighbor
+    /// lists ascend in `Site` order).
     stencil: Vec<(i32, i32)>,
     /// CSR offsets: site `i`'s neighbors live at
     /// `neighbors[offsets[i] .. offsets[i + 1]]`.
@@ -70,7 +71,10 @@ impl InteractionGraph {
             .map(|i| grid.is_usable(grid.site_at(i)))
             .collect();
 
-        let r = mid.floor() as i32;
+        // Offsets wider than the grid reach no site: clamping the
+        // radius keeps every stencil entry that matters, in the same
+        // order, and bounds the loop for huge or infinite MIDs.
+        let r = mid.min(f64::from(width.max(height))).floor() as i32;
         let mut stencil = Vec::new();
         for dx in -r..=r {
             for dy in -r..=r {
@@ -509,6 +513,35 @@ mod tests {
                     };
                     let got: Vec<Site> = graph.neighbor_sites(i).collect();
                     assert_eq!(got, expect, "site {site} at MID {mid}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn huge_mids_clamp_to_the_grid_and_keep_every_neighbor() {
+        // MID 10 covers the 8×7 grid's diagonal (√85 ≈ 9.2), so every
+        // usable site neighbours every other. Larger and infinite MIDs
+        // used to loop over a ~2⁶⁴-entry stencil; they must give the
+        // same complete neighbour lists, from a stencil no wider than
+        // the grid.
+        let mut rng = StdRng::seed_from_u64(23);
+        let g = random_grid(&mut rng, 8, 7, 9);
+        for mid in [10.0, 1e9, f64::MAX, f64::INFINITY] {
+            let graph = InteractionGraph::build(&g, mid);
+            assert!(graph.stencil().len() <= 17 * 17, "MID {mid}");
+            for i in 0..g.num_sites() {
+                let site = g.site_at(i);
+                let mut everyone: Vec<Site> = if g.is_usable(site) {
+                    g.usable_sites().filter(|&s| s != site).collect()
+                } else {
+                    Vec::new()
+                };
+                everyone.sort();
+                let got: Vec<Site> = graph.neighbor_sites(i).collect();
+                assert_eq!(got, everyone, "site {site} at MID {mid}");
+                if g.is_usable(site) {
+                    assert_eq!(g.neighbors_within(site, mid), everyone, "{site} MID {mid}");
                 }
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! The approved offline dependency set has no CLI crate, and the
 //! toolkit's needs are modest: `--key value` pairs, boolean `--flag`s,
-//! and one positional subcommand.
+//! one positional subcommand and its operands.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -25,7 +25,7 @@ impl Error for ArgError {}
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     subcommand: Option<String>,
-    positional: Option<String>,
+    positionals: Vec<String>,
     values: HashMap<String, String>,
     flags: Vec<String>,
 }
@@ -37,8 +37,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Rejects more than one stray positional argument after the
-    /// subcommand (subcommands that take no positional reject the
+    /// Rejects more than one positional argument after any subcommand
+    /// but `reproduce` (subcommands that take no positional reject the
     /// first one themselves, so the error message stays the same).
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Self, ArgError> {
         let mut args = Args::default();
@@ -54,8 +54,8 @@ impl Args {
                 }
             } else if args.subcommand.is_none() {
                 args.subcommand = Some(tok);
-            } else if args.positional.is_none() {
-                args.positional = Some(tok);
+            } else if args.positionals.is_empty() || args.subcommand() == Some("reproduce") {
+                args.positionals.push(tok);
             } else {
                 return Err(ArgError(format!("unexpected positional argument {tok:?}")));
             }
@@ -68,10 +68,16 @@ impl Args {
         self.subcommand.as_deref()
     }
 
-    /// The single trailing positional argument, if any (only `natoms
-    /// trace <file>` accepts one; every other subcommand rejects it).
+    /// The first positional argument after the subcommand, if any
+    /// (`natoms trace <file>` takes one, `natoms reproduce` a list of
+    /// figure names; every other subcommand rejects it).
     pub fn positional(&self) -> Option<&str> {
-        self.positional.as_deref()
+        self.positionals.first().map(String::as_str)
+    }
+
+    /// Every positional argument after the subcommand, in order.
+    pub fn positionals(&self) -> &[String] {
+        &self.positionals
     }
 
     /// A string option.
@@ -147,6 +153,14 @@ mod tests {
         let a = parse(&["trace", "t.json"]);
         assert_eq!(a.subcommand(), Some("trace"));
         assert_eq!(a.positional(), Some("t.json"));
+    }
+
+    #[test]
+    fn reproduce_takes_a_list_of_names() {
+        let a = parse(&["reproduce", "fig03", "fig04", "--workers", "2", "fig05"]);
+        assert_eq!(a.positionals(), ["fig03", "fig04", "fig05"]);
+        assert_eq!(a.get("workers"), Some("2"));
+        assert!(parse(&["reproduce"]).positionals().is_empty());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Subcommand implementations.
 //!
-//! The sweep-shaped subcommands (`sweep`, `campaign`) run through
-//! `na-engine`'s parallel worker pool: `--workers N` bounds the pool
-//! (default: all cores — results are identical at any worker count),
-//! and `--jsonl` switches the output to the engine's structured
-//! JSON-lines rows for downstream tooling.
+//! The sweep-shaped subcommands (`sweep`, `campaign`, `reproduce`) run
+//! through `na-engine`'s parallel worker pool: `--workers N` bounds the
+//! pool (default: all cores — results are identical at any worker
+//! count), and `--jsonl` switches the output to the engine's
+//! structured JSON-lines rows for downstream tooling.
 
 use crate::args::{ArgError, Args};
 use na_arch::{AssemblySimulator, Grid, RestrictionPolicy};
@@ -20,6 +20,7 @@ use na_loss::{
 };
 use na_noise::{success_probability, NoiseParams};
 use std::error::Error;
+use std::io::Write;
 use std::time::Duration;
 
 /// What a successfully-dispatched subcommand reports back to `main`.
@@ -63,6 +64,22 @@ fn parse_grid(spec: &str) -> Result<Grid, ArgError> {
         return Err(ArgError("grid dimensions must be positive".into()));
     }
     Ok(Grid::new(w, h))
+}
+
+/// Parses one maximum interaction distance for `--mid` or `--mids`:
+/// a finite number of at least 1 (MID 1 is nearest-neighbour). `nan`,
+/// `inf` and sub-unit distances are rejected up front.
+fn parse_mid(raw: &str, flag: &str) -> Result<f64, ArgError> {
+    let mid: f64 = raw
+        .trim()
+        .parse()
+        .map_err(|_| ArgError(format!("invalid value {raw:?} for --{flag}")))?;
+    if !mid.is_finite() || mid < 1.0 {
+        return Err(ArgError(format!(
+            "--{flag} must be a finite number >= 1, got {raw:?}"
+        )));
+    }
+    Ok(mid)
 }
 
 /// Loads and parses the `--qasm` file into a custom [`Workload`]
@@ -125,10 +142,10 @@ fn common(args: &Args) -> Result<Common, ArgError> {
     };
     let size = args.parse_or("size", 30u32)?;
     let grid = parse_grid(args.get_or("grid", "10x10"))?;
-    let mid: f64 = args.parse_or("mid", 3.0)?;
-    if mid < 1.0 {
-        return Err(ArgError("--mid must be at least 1".into()));
-    }
+    let mid = match args.get("mid") {
+        Some(raw) => parse_mid(raw, "mid")?,
+        None => 3.0,
+    };
     let mut config = CompilerConfig::new(mid);
     if args.flag("no-native") {
         config = config.with_native_multiqubit(false);
@@ -317,11 +334,7 @@ pub fn sweep_cmd(args: &Args) -> CmdResult {
     let mids: Vec<f64> = args
         .get_or("mids", &default_mids)
         .split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<f64>()
-                .map_err(|_| ArgError(format!("bad MID {s:?}")))
-        })
+        .map(|s| parse_mid(s, "mids"))
         .collect::<Result<_, _>>()?;
 
     let mut spec = ExperimentSpec::new("cli-sweep", c.grid.clone());
@@ -366,6 +379,58 @@ pub fn sweep_cmd(args: &Args) -> CmdResult {
         }
     }
     Ok(finish_rows(&records))
+}
+
+/// `natoms reproduce [NAME …]` — the paper's figures: the named ones
+/// in the given order, or all of them in paper order, through one
+/// verified engine and so one compile cache (a figure re-reading
+/// points an earlier one compiled gets cache hits). Each figure's
+/// tables go to stdout as soon as it is rendered; `--jsonl` writes
+/// every figure's rows instead. A figure that cannot be rendered is
+/// reported on stderr with its row-failure summary, the remaining
+/// figures still run, and the exit code is 2.
+pub fn reproduce_cmd(args: &Args) -> CmdResult {
+    let figures = na_bench::select(args.positionals()).map_err(|e| ArgError(e.to_string()))?;
+    let jsonl = jsonl_target(args);
+    if let Some(Some(path)) = &jsonl {
+        validate_writable(path, "JSONL")?;
+    }
+    // Verified: every schedule behind a figure passes the constraint
+    // checker, or its row fails and so does the figure.
+    let engine = engine(args)?.verified();
+    let mut status = CmdStatus::Ok;
+    let mut rows = Vec::new();
+    for run in na_bench::reproduce(&engine, &figures) {
+        match &run.rendered {
+            Ok(text) if jsonl.is_none() => {
+                let mut stdout = std::io::stdout().lock();
+                match stdout
+                    .write_all(text.as_bytes())
+                    .and_then(|()| stdout.flush())
+                {
+                    Ok(()) => {}
+                    // A closed consumer (`natoms reproduce | head`) is
+                    // a clean early stop.
+                    Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(status),
+                    Err(e) => return Err(e.into()),
+                }
+            }
+            Ok(_) => {}
+            Err(e) => {
+                eprintln!("{}: {e}", run.name);
+                finish_rows(&run.records);
+                status = CmdStatus::PartialFailure;
+            }
+        }
+        if jsonl.is_some() {
+            rows.extend(run.records);
+        }
+    }
+    report_cache_stats();
+    if let Some(target) = &jsonl {
+        emit_jsonl(&rows, target.as_deref())?;
+    }
+    Ok(status)
 }
 
 /// `natoms success`
@@ -1645,6 +1710,31 @@ mod tests {
             let row: serde_json::Value = serde_json::from_str(line).unwrap();
             assert!(row.get("outcome").is_some(), "not a result row: {line}");
         }
+    }
+
+    #[test]
+    fn reproduce_writes_every_named_figure_to_one_jsonl_file() {
+        let path = std::env::temp_dir().join("natoms_cli_reproduce.jsonl");
+        let path = path.to_str().unwrap().to_string();
+        let args = parse(&[
+            "reproduce",
+            "validation_mid1",
+            "fig14",
+            "--workers",
+            "2",
+            "--jsonl",
+            &path,
+        ]);
+        assert_eq!(reproduce_cmd(&args).unwrap(), CmdStatus::Ok);
+        let text = std::fs::read_to_string(&path).unwrap();
+        // Six validation rows, then Fig. 14's one campaign row.
+        assert_eq!(text.lines().count(), 7);
+        for line in text.lines() {
+            let row: serde_json::Value = serde_json::from_str(line).unwrap();
+            assert!(row.get("outcome").is_some(), "not a result row: {line}");
+        }
+        let err = reproduce_cmd(&parse(&["reproduce", "fig09"])).unwrap_err();
+        assert!(err.to_string().contains("unknown figure \"fig09\""));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! natoms reload-time --width 10 --height 10 --margin 3 --trials 10
 //! natoms stats    --file metrics.json [--require-stages lower,place] [--require-cache]
 //! natoms trace    t.json [--top 10]
+//! natoms reproduce [fig03 fig04 …] [--jsonl [FILE]] [--workers 8]
 //! ```
 //!
 //! Every workload command (`compile`, `sweep`, `success`, `tolerance`,
@@ -33,8 +34,11 @@
 //! trace <file>`. Tracing shares telemetry's strictly-observational
 //! contract.
 //!
-//! `sweep` and `campaign` run through the `na-engine` worker pool;
-//! results are identical at any `--workers` value.
+//! `sweep`, `campaign` and `reproduce` run through the `na-engine`
+//! worker pool; results are identical at any `--workers` value.
+//! `reproduce` regenerates the paper's figures (the `na-bench`
+//! library) through one engine, so figures sweeping the same compile
+//! points share one compile cache.
 
 mod args;
 mod commands;
@@ -60,6 +64,10 @@ SUBCOMMANDS:
   stats        pretty-print a --metrics snapshot file
   trace        summarize a --trace file (critical path per job, top-k
                slowest spans, cache-wait totals)
+  reproduce    regenerate the paper's figures through one engine and one
+               compile cache: `natoms reproduce [NAME ...]` runs the named
+               figures (fig03 ... fig14, names before options), or all 16
+               in paper order; an unknown name lists the valid ones
 
 COMMON OPTIONS:
   --metrics FILE    collect telemetry for this run and write the
@@ -71,7 +79,8 @@ COMMON OPTIONS:
   --qasm FILE       run an imported OpenQASM 2.0 circuit instead
   --size N          program qubit budget        (default 30)
   --grid WxH        device dimensions           (default 10x10)
-  --mid D           max interaction distance    (default 3)
+  --mid D           max interaction distance, a finite number >= 1
+                    (default 3; --mids takes a comma list of them)
   --seed N          RNG seed                    (default 0)
   --no-native       lower Toffolis to 2q gates
   --no-zones        disable restriction zones
@@ -79,7 +88,7 @@ COMMON OPTIONS:
   --passes          print per-pass wall time and artifact stats from
                     the self-checking pass pipeline (compile only)
 
-ENGINE OPTIONS (sweep, campaign):
+ENGINE OPTIONS (sweep, campaign, reproduce):
   --workers N       worker threads              (default: all cores)
   --jsonl [FILE]    emit structured JSON-lines rows (stdout, or FILE)
   --job-timeout S   per-job wall-clock budget in seconds (also bench);
@@ -159,9 +168,10 @@ fn main() -> ExitCode {
         }
         na_telemetry::trace::set_enabled(true);
     }
-    // Only `natoms trace <file>` takes a positional argument.
+    // Only `natoms trace <file>` and `natoms reproduce [NAME …]` take
+    // positional arguments.
     if let Some(pos) = args.positional() {
-        if args.subcommand() != Some("trace") {
+        if !matches!(args.subcommand(), Some("trace" | "reproduce")) {
             eprintln!("error: unexpected positional argument {pos:?}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
@@ -176,6 +186,7 @@ fn main() -> ExitCode {
         Some("reload-time") => commands::reload_time_cmd(&args),
         Some("stats") => commands::stats_cmd(&args),
         Some("trace") => commands::trace_cmd(&args),
+        Some("reproduce") => commands::reproduce_cmd(&args),
         Some(other) => {
             eprintln!("error: unknown subcommand {other:?}\n\n{USAGE}");
             return ExitCode::FAILURE;

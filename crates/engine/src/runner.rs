@@ -76,7 +76,7 @@ impl Engine {
     /// compile-family task produces is replayed through
     /// [`na_core::verify`] before its metrics are reported, and a
     /// constraint violation becomes an [`Outcome::Failed`] row.
-    /// Used by validation harnesses; off by default (verification
+    /// Used by `natoms reproduce`; off by default (verification
     /// replays the whole schedule).
     pub fn verified(mut self) -> Self {
         self.verify = true;

@@ -65,8 +65,8 @@ pub trait ResultSink {
 }
 
 /// Drains already-collected records into a sink, in order, and
-/// flushes. The one sink-draining loop shared by `Engine::run_into`,
-/// the CLI's `--jsonl` paths, and the harnesses' `NATOMS_JSONL` mode.
+/// flushes. The one sink-draining loop shared by `Engine::run_into`
+/// and the CLI's `--jsonl` paths.
 ///
 /// # Errors
 ///

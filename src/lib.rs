@@ -46,8 +46,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench/src/bin`
-//! for the harnesses that regenerate every figure of the paper.
+//! See `examples/` for runnable scenarios, and `natoms reproduce`
+//! (the figure library in `crates/bench`) to regenerate every figure
+//! of the paper.
 
 /// The neutral-atom hardware model ([`na_arch`]).
 pub mod arch {
