@@ -346,7 +346,7 @@ fn render_fig12(records: &[RunRecord], out: &mut dyn Write) -> Result<(), Figure
         out,
         "paper's Python compiler exceeded the 0.3 s reload, ours does not —"
     )?;
-    writeln!(out, "see EXPERIMENTS.md for the discussion.")?;
+    writeln!(out, "see README.md, \"Fig. 12: measured recompile cost\".")?;
     Ok(())
 }
 

@@ -16,6 +16,11 @@
 //!   time, so its `recompile_time` fields and the `recompile` table
 //!   row (whose totals include that time) vary run to run and are
 //!   masked. Its fixed-cost `recompile @1.5s` row is still pinned.
+//!
+//! One digest was re-recorded since: Fig. 12's text, whose closing note
+//! now points at the README's "Fig. 12: measured recompile cost"
+//! paragraph instead of a file that never existed. Its rows are
+//! unchanged.
 
 use na_bench::{reproduce, select, FigureRun, FIGURES};
 use na_engine::{write_records, Engine, JsonlSink, RunRecord};
@@ -30,7 +35,7 @@ const GOLDEN: &[(&str, u64, u64, usize)] = &[
     ("fig08", 0xcb2248e7b7ffa5ca, 0x2088da62530ec8b2, 1800),
     ("fig10", 0x6d1f8ce2fd057c04, 0x2bb99fd8262b2641, 46),
     ("fig11", 0xf69ff376a3ddb345, 0x7328f196bfe4c9a0, 80),
-    ("fig12", 0xaadba0a11444e7dd, 0x55c7dc571d3eb9df, 33),
+    ("fig12", 0xfb7eac9a30f391ad, 0x55c7dc571d3eb9df, 33),
     ("fig13", 0xbc2839eed56d30a6, 0x72cb2827eaae7f98, 60),
     ("fig14", 0x36ca69db4667997f, 0xaa5749f53ca11225, 1),
     (

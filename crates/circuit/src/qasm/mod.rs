@@ -103,6 +103,18 @@ pub enum QasmErrorKind {
     UnknownParameter(String),
     /// Macro expansion exceeded the nesting limit.
     MacroTooDeep(String),
+    /// An angle expression nests deeper than the parser's limit.
+    ExprTooDeep {
+        /// The nesting limit.
+        limit: u32,
+    },
+    /// A macro call would expand the program past the gate budget.
+    ExpansionTooLarge {
+        /// The macro called.
+        name: String,
+        /// Gates a program may expand to.
+        limit: u64,
+    },
     /// The assembled gate failed [`Circuit`] validation (duplicate
     /// operand, out-of-range qubit).
     InvalidGate(CircuitError),
@@ -180,6 +192,13 @@ impl fmt::Display for QasmErrorKind {
             QasmErrorKind::MacroTooDeep(name) => {
                 write!(f, "gate macro {name:?} expands too deeply")
             }
+            QasmErrorKind::ExprTooDeep { limit } => {
+                write!(f, "expression nests deeper than {limit} levels")
+            }
+            QasmErrorKind::ExpansionTooLarge { name, limit } => write!(
+                f,
+                "gate macro {name:?} would expand the program past {limit} gates"
+            ),
             QasmErrorKind::InvalidGate(e) => write!(f, "invalid gate: {e}"),
             QasmErrorKind::ExportUnsupported {
                 gate_index,

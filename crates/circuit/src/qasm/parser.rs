@@ -35,6 +35,21 @@ use std::collections::HashMap;
 /// towers and is defense in depth should that validation ever weaken.
 const MAX_MACRO_DEPTH: u32 = 64;
 
+/// Angle-expression depth limit: parentheses, function arguments,
+/// unary minuses, exponents and every `+ - * /` of a left-folded chain
+/// each nest the parse one level (and the folded tree one node)
+/// deeper. Parsing, evaluating and dropping an expression all recurse
+/// that deep, so the bound keeps them within a default 2 MiB spawned
+/// thread's stack, which is what engine workers run on. Real angles
+/// nest a handful of levels.
+const MAX_EXPR_DEPTH: u32 = 128;
+
+/// Gates one program may expand to. Each macro's expansion size is
+/// known once it is defined, so a call that would pass the budget is
+/// rejected before it emits anything, instead of doubling through a
+/// chain of macros for hours.
+const MAX_EXPANDED_GATES: u64 = 1 << 20;
+
 /// Parses an OpenQASM 2.0 source string into a [`Circuit`].
 ///
 /// The returned circuit's register is the concatenation of every
@@ -243,6 +258,8 @@ struct GateDef {
     num_params: usize,
     num_qargs: usize,
     body: Vec<BodyCall>,
+    /// Gates one call expands to (an upper bound, saturating).
+    expanded: u64,
 }
 
 /// An unresolved `name` / `name[i]` operand: the register name, the
@@ -269,6 +286,9 @@ struct Parser {
     /// Assembled gates with the source position of the call that
     /// produced them, for late circuit validation.
     gates: Vec<(Gate, u32, u32)>,
+    /// Nesting of the expression being parsed (see
+    /// [`MAX_EXPR_DEPTH`]).
+    expr_depth: u32,
 }
 
 impl Parser {
@@ -281,6 +301,7 @@ impl Parser {
             macros: HashMap::new(),
             num_qubits: 0,
             gates: Vec::new(),
+            expr_depth: 0,
         }
     }
 
@@ -541,12 +562,16 @@ impl Parser {
             });
         }
         self.expect(&Tok::RBrace, "'}'")?;
+        let expanded = body.iter().fold(0u64, |n, call| {
+            n.saturating_add(self.macros.get(&call.name).map_or(1, |def| def.expanded))
+        });
         self.macros.insert(
             name,
             GateDef {
                 num_params: params.len(),
                 num_qargs: qargs.len(),
                 body,
+                expanded,
             },
         );
         Ok(())
@@ -554,44 +579,65 @@ impl Parser {
 
     // --- expressions -----------------------------------------------------
 
+    /// Nests the expression being parsed one level deeper, failing
+    /// past [`MAX_EXPR_DEPTH`]. Each parse function restores the depth
+    /// it entered with on success.
+    fn deeper(&mut self) -> Result<(), QasmError> {
+        self.expr_depth += 1;
+        if self.expr_depth > MAX_EXPR_DEPTH {
+            return Err(self.err_at(
+                self.peek(),
+                QasmErrorKind::ExprTooDeep {
+                    limit: MAX_EXPR_DEPTH,
+                },
+            ));
+        }
+        Ok(())
+    }
+
     fn expr(&mut self, params: &[String]) -> Result<Expr, QasmError> {
+        let entry = self.expr_depth;
+        self.deeper()?;
         let mut lhs = self.term(params)?;
         loop {
-            match self.peek().tok {
-                Tok::Plus => {
-                    self.advance();
-                    lhs = Expr::Add(Box::new(lhs), Box::new(self.term(params)?));
-                }
-                Tok::Minus => {
-                    self.advance();
-                    lhs = Expr::Sub(Box::new(lhs), Box::new(self.term(params)?));
-                }
-                _ => return Ok(lhs),
-            }
+            let op = match self.peek().tok {
+                Tok::Plus => Expr::Add,
+                Tok::Minus => Expr::Sub,
+                _ => break,
+            };
+            self.advance();
+            // The left fold nests the tree one node deeper per term.
+            self.deeper()?;
+            lhs = op(Box::new(lhs), Box::new(self.term(params)?));
         }
+        self.expr_depth = entry;
+        Ok(lhs)
     }
 
     fn term(&mut self, params: &[String]) -> Result<Expr, QasmError> {
+        let entry = self.expr_depth;
         let mut lhs = self.unary(params)?;
         loop {
-            match self.peek().tok {
-                Tok::Star => {
-                    self.advance();
-                    lhs = Expr::Mul(Box::new(lhs), Box::new(self.unary(params)?));
-                }
-                Tok::Slash => {
-                    self.advance();
-                    lhs = Expr::Div(Box::new(lhs), Box::new(self.unary(params)?));
-                }
-                _ => return Ok(lhs),
-            }
+            let op = match self.peek().tok {
+                Tok::Star => Expr::Mul,
+                Tok::Slash => Expr::Div,
+                _ => break,
+            };
+            self.advance();
+            self.deeper()?;
+            lhs = op(Box::new(lhs), Box::new(self.unary(params)?));
         }
+        self.expr_depth = entry;
+        Ok(lhs)
     }
 
     fn unary(&mut self, params: &[String]) -> Result<Expr, QasmError> {
         if self.peek().tok == Tok::Minus {
             self.advance();
-            return Ok(Expr::Neg(Box::new(self.unary(params)?)));
+            self.deeper()?;
+            let e = Expr::Neg(Box::new(self.unary(params)?));
+            self.expr_depth -= 1;
+            return Ok(e);
         }
         self.power(params)
     }
@@ -601,7 +647,9 @@ impl Parser {
         if self.peek().tok == Tok::Caret {
             self.advance();
             // Right-associative: 2^3^2 = 2^(3^2).
+            self.deeper()?;
             let exp = self.unary(params)?;
+            self.expr_depth -= 1;
             return Ok(Expr::Pow(Box::new(base), Box::new(exp)));
         }
         Ok(base)
@@ -783,6 +831,15 @@ impl Parser {
         let Some(def) = self.macros.get(name).cloned() else {
             return Err(self.err_at(t, QasmErrorKind::UnknownGate(name.to_string())));
         };
+        if (self.gates.len() as u64).saturating_add(def.expanded) > MAX_EXPANDED_GATES {
+            return Err(self.err_at(
+                t,
+                QasmErrorKind::ExpansionTooLarge {
+                    name: name.to_string(),
+                    limit: MAX_EXPANDED_GATES,
+                },
+            ));
+        }
         if params.len() != def.num_params {
             return Err(self.err_at(
                 t,
@@ -1140,5 +1197,89 @@ mod tests {
         let c = parse("OPENQASM 2.0;\n");
         assert_eq!(c.num_qubits(), 0);
         assert!(c.is_empty());
+    }
+
+    /// Parses `rz(angle) q[0];` on a freshly spawned thread with the
+    /// 2 MiB stack engine workers get: a stack overflow would abort
+    /// the whole test binary, not fail one test.
+    fn parse_angle_on_worker_stack(angle: String) -> Result<Circuit, QasmError> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse_qasm(&format!("{HEADER}qreg q[1];\nrz({angle}) q[0];\n")))
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    fn assert_too_deep(angle: String) {
+        let err = parse_angle_on_worker_stack(angle).expect_err("too deep");
+        assert_eq!(
+            err.kind,
+            QasmErrorKind::ExprTooDeep {
+                limit: MAX_EXPR_DEPTH
+            }
+        );
+        assert_eq!(err.line, 4);
+    }
+
+    #[test]
+    fn ten_thousand_nested_parentheses_are_a_typed_error() {
+        let n = 10_000;
+        assert_too_deep(format!("{}1{}", "(".repeat(n), ")".repeat(n)));
+    }
+
+    #[test]
+    fn two_hundred_thousand_nested_parentheses_are_a_typed_error() {
+        let n = 200_000;
+        assert_too_deep(format!("{}1{}", "(".repeat(n), ")".repeat(n)));
+    }
+
+    #[test]
+    fn two_hundred_thousand_unary_minuses_are_a_typed_error() {
+        assert_too_deep(format!("{}1", "-".repeat(200_000)));
+    }
+
+    #[test]
+    fn a_two_hundred_thousand_term_sum_is_a_typed_error() {
+        assert_too_deep(format!("1{}", "+1".repeat(200_000 - 1)));
+    }
+
+    #[test]
+    fn expressions_at_the_depth_limit_parse_and_evaluate() {
+        let depth = MAX_EXPR_DEPTH as usize;
+        // The outermost expression is level 1; each parenthesis nests
+        // one more.
+        let parens = format!("{}0.5{}", "(".repeat(depth - 1), ")".repeat(depth - 1));
+        let sum = format!("1{}", "+1".repeat(depth - 1));
+        let mixed = format!("{}pi/2*1{}", "-(".repeat(depth / 4), ")".repeat(depth / 4));
+        for (angle, expected) in [(parens, 0.5), (sum, depth as f64)] {
+            let c = parse_angle_on_worker_stack(angle).expect("within the limit");
+            assert_eq!(c.gates()[0], Gate::Rz(Qubit(0), expected));
+        }
+        parse_angle_on_worker_stack(mixed).expect("within the limit");
+        assert_too_deep(format!("{}0.5{}", "(".repeat(depth), ")".repeat(depth)));
+        assert_too_deep(format!("1{}", "+1".repeat(depth)));
+    }
+
+    #[test]
+    fn an_exponential_macro_chain_is_rejected_before_expanding() {
+        let mut src = format!("{HEADER}qreg q[1];\ngate g0 a {{ h a; h a; }}\n");
+        for i in 1..40 {
+            src.push_str(&format!("gate g{i} a {{ g{} a; g{} a; }}\n", i - 1, i - 1));
+        }
+        // A short chain stays well inside the budget and expands.
+        let ok = parse(&format!("{src}g9 q[0];\n"));
+        assert_eq!(ok.len(), 1 << 10);
+        let start = std::time::Instant::now();
+        let err = parse_err(&format!("{src}g39 q[0];\n"));
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(
+            err.kind,
+            QasmErrorKind::ExpansionTooLarge {
+                name: "g39".into(),
+                limit: MAX_EXPANDED_GATES
+            }
+        );
+        assert_eq!((err.line, err.column), (44, 1));
     }
 }

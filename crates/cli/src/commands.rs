@@ -642,6 +642,10 @@ struct BenchWorkload {
     secs_per_pass: f64,
     /// Work units per second.
     units_per_sec: f64,
+    /// This workload's own stage breakdown over all its timed
+    /// repetitions: the `stages` of a metrics snapshot taken over just
+    /// this workload.
+    stages: std::collections::BTreeMap<String, na_telemetry::StageSummary>,
 }
 
 /// Provenance of one `natoms bench` run.
@@ -684,7 +688,8 @@ impl BenchMeta {
 /// per-workload field is retained unchanged so units/s trajectories
 /// stay comparable across the schema bump. `pass_report` (the
 /// per-pass breakdown of one representative compile through the
-/// self-checking pipeline) is additive under v2.
+/// self-checking pipeline) and each workload's own `stages` are
+/// additive under v2.
 #[derive(Debug, serde::Serialize)]
 struct BenchReport {
     /// Report format tag.
@@ -863,12 +868,16 @@ fn bench_workloads(
         .with_native_multiqubit(false)
         .with_restriction(RestrictionPolicy::None);
     let mut workloads = Vec::new();
+    // The whole run's metrics, assembled from per-workload takes of the
+    // registry and handed back to it at the end.
+    let mut run = Box::<na_telemetry::Recorder>::default();
 
     let mut timed = |name: &str,
                      passes: u32,
                      units_per_pass: u32,
                      work: &mut dyn FnMut() -> Result<(), Box<dyn Error>>|
      -> Result<(), Box<dyn Error>> {
+        run.merge_from(&na_telemetry::take_merged());
         let t0 = Instant::now();
         for _ in 0..passes {
             let _budget = na_faults::push_deadline(match timeout {
@@ -879,6 +888,8 @@ fn bench_workloads(
         }
         let total_secs = t0.elapsed().as_secs_f64();
         let secs_per_pass = total_secs / f64::from(passes);
+        let own = na_telemetry::take_merged();
+        run.merge_from(&own);
         workloads.push(BenchWorkload {
             name: name.to_string(),
             passes,
@@ -886,6 +897,7 @@ fn bench_workloads(
             total_secs,
             secs_per_pass,
             units_per_sec: f64::from(passes * units_per_pass) / total_secs,
+            stages: na_telemetry::MetricsSnapshot::of(&own, true).stages,
         });
         Ok(())
     };
@@ -1074,6 +1086,7 @@ fn bench_workloads(
     let (_, pass_report) =
         na_core::compile_with_report(&Benchmark::Bv.generate(fig07_size, 0), &grid, &na_cfg)?;
 
+    na_telemetry::Registry::global().merge(&run);
     Ok((grid, workloads, pass_report))
 }
 
@@ -1574,6 +1587,7 @@ mod tests {
                 total_secs: 0.5,
                 secs_per_pass: 0.5,
                 units_per_sec: 20.0,
+                stages: Default::default(),
             }],
             metrics: na_telemetry::Registry::new(true).snapshot(),
             pass_report: na_core::PassReport::default(),
@@ -1786,6 +1800,7 @@ mod tests {
             total_secs: 1.0,
             secs_per_pass: 1.0,
             units_per_sec,
+            stages: Default::default(),
         }
     }
 

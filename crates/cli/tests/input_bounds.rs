@@ -1,5 +1,6 @@
-//! Bad MIDs and figure names end in exit 1 with a typed message, and
-//! huge MIDs compile promptly, instead of panicking or hanging.
+//! Bad MIDs, figure names and QASM inputs end in exit 1 with a typed
+//! message, and huge MIDs compile promptly, instead of panicking,
+//! overflowing the stack or hanging.
 //!
 //! Before the shared MID parser and the clamped stencil radius,
 //! `--mid nan` panicked in `CompilerConfig::new` (exit 101), `--mid
@@ -98,4 +99,63 @@ fn a_failed_figure_is_reported_and_the_rest_still_run() {
     assert!(stderr.contains("1/35 rows failed: 1 panicked"), "{stderr}");
     assert!(!stdout.contains("Ablation: lookahead"), "{stdout}");
     assert!(stdout.starts_with("== Validation: MID 1"), "{stdout}");
+}
+
+/// Writes `src` to a fresh file and compiles it through `--qasm`.
+fn compile_qasm(name: &str, src: &str) -> (Output, Duration) {
+    let path = std::env::temp_dir().join(format!("natoms-{}-{name}.qasm", std::process::id()));
+    std::fs::write(&path, src).unwrap();
+    let start = Instant::now();
+    let output = natoms(
+        &["compile", "--qasm", path.to_str().unwrap(), "--mid", "3"],
+        None,
+    );
+    let elapsed = start.elapsed();
+    std::fs::remove_file(&path).unwrap();
+    (output, elapsed)
+}
+
+const HEADER: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n";
+
+#[test]
+fn deep_qasm_expressions_and_macro_blow_ups_are_typed_errors() {
+    let n = 200_000;
+    let probes = [
+        (
+            "parens-1e4",
+            format!("rz({}1{}) q[0];", "(".repeat(10_000), ")".repeat(10_000)),
+            "expression nests deeper than",
+        ),
+        (
+            "parens-2e5",
+            format!("rz({}1{}) q[0];", "(".repeat(n), ")".repeat(n)),
+            "expression nests deeper than",
+        ),
+        (
+            "minus-2e5",
+            format!("rz({}1) q[0];", "-".repeat(n)),
+            "expression nests deeper than",
+        ),
+        (
+            "sum-2e5",
+            format!("rz(1{}) q[0];", "+1".repeat(n - 1)),
+            "expression nests deeper than",
+        ),
+        (
+            "macro-chain",
+            (1..40).fold("gate g0 a { h a; h a; }\n".to_string(), |src, i| {
+                src + &format!("gate g{i} a {{ g{} a; g{} a; }}\n", i - 1, i - 1)
+            }) + "g39 q[0];",
+            "would expand the program past",
+        ),
+    ];
+    for (name, body, message) in probes {
+        let (output, elapsed) = compile_qasm(name, &format!("{HEADER}{body}\n"));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(message), "{name}: {stderr}");
+        assert!(output.stdout.is_empty(), "{name} printed a schedule");
+        // Generous for a debug binary; the release CLI takes ~10 ms.
+        assert!(elapsed < Duration::from_secs(10), "{name} took {elapsed:?}");
+    }
 }

@@ -424,6 +424,7 @@ impl Error for VerifyError {}
 ///
 /// Returns the first [`VerifyError`] encountered.
 pub fn verify(compiled: &CompiledCircuit, grid: &Grid) -> Result<(), VerifyError> {
+    let _span = na_telemetry::time(na_telemetry::Stage::Verify);
     verify_parts(
         compiled.circuit(),
         compiled.config(),
@@ -436,7 +437,7 @@ pub fn verify(compiled: &CompiledCircuit, grid: &Grid) -> Result<(), VerifyError
 
 /// [`verify`] over the raw schedule parts, shared with the pipeline's
 /// `verify` pass (which runs before the [`CompiledCircuit`] container
-/// exists).
+/// exists, and is timed by the pipeline runner).
 pub(crate) fn verify_parts(
     circuit: &Circuit,
     config: &CompilerConfig,
@@ -445,7 +446,6 @@ pub(crate) fn verify_parts(
     final_map: &HashMap<Qubit, Site>,
     grid: &Grid,
 ) -> Result<(), VerifyError> {
-    let _span = na_telemetry::time(na_telemetry::Stage::Verify);
     let dag = circuit.dag();
 
     // Gate execution times (for counting and dependency checks).

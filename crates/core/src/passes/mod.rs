@@ -17,16 +17,18 @@
 //! between stages — an expired budget stops at the next pass boundary
 //! with the same typed [`CompileError::DeadlineExceeded`].
 //!
-//! # Adding a pass
+//! # Timing
 //!
-//! Implement [`Pass`] and splice it into a pipeline with
-//! [`Pipeline::push`] (or build the `Vec` yourself). A pass reads the
-//! artifacts earlier passes left in the context and leaves its own for
-//! the later ones; the last pass must populate the compiled circuit
-//! (the standard pipeline's `finalize` does). Record per-pass
-//! statistics through [`PassContext::stat`] — they surface in the
-//! [`PassReport`] that [`Pipeline::run_reported`] returns and that
-//! `natoms bench`/`natoms compile --passes` print.
+//! The runner is the only place a pass is timed: it opens one
+//! [`na_telemetry::Span`] per pass, named by the pass's
+//! [`Stage`], and that one measurement feeds the stage histogram
+//! (`--metrics`), the pass's trace span (`--trace`) and the
+//! [`PassTiming`] row of a [`PassReport`]. Pass bodies carry no timers
+//! of their own; a skipped `verify` pass records its near-zero span
+//! like any other pass. Passes record artifact statistics through
+//! [`PassContext::stat`]; they surface in the report that
+//! [`Pipeline::run_reported`] returns and that `natoms bench` and
+//! `natoms compile --passes` print.
 //!
 //! # Artifact reuse
 //!
@@ -46,17 +48,17 @@ use crate::scheduler::{run, ScheduleResult};
 use crate::{CompileError, CompilerConfig, QubitMap};
 use na_arch::{Grid, InteractionGraph, Site};
 use na_circuit::{Circuit, Gate, Qubit};
+use na_telemetry::{Counter, Parent, Span, Stage};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// One named unit of compilation work over a shared [`PassContext`].
 pub trait Pass {
-    /// Stable snake_case name, used in [`PassReport`] rows and the
-    /// per-pass timing tables.
-    fn name(&self) -> &'static str;
+    /// The stage this pass is timed under; its name is the pass name
+    /// in [`PassReport`] rows, metrics snapshots and trace spans.
+    fn stage(&self) -> Stage;
 
     /// Runs the pass: read earlier artifacts from `ctx`, leave this
     /// pass's own.
@@ -192,9 +194,11 @@ pub struct PassReport {
 /// One [`PassReport`] row.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PassTiming {
-    /// The pass name ([`Pass::name`]).
+    /// The pass name (the name of [`Pass::stage`]).
     pub pass: String,
-    /// Wall time spent in the pass.
+    /// Wall time spent in the pass: the runner span's
+    /// [`Span::finish`], the same value its histogram sample and trace
+    /// span carry.
     pub ns: u64,
     /// Artifact statistics the pass recorded (gate counts, op counts,
     /// reuse flags — see each pass's docs).
@@ -293,8 +297,7 @@ impl ArtifactStore {
         let got = lock_recover(&self.map).get(key).cloned();
         if got.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            na_telemetry::add(na_telemetry::Counter::ArtifactHits, 1);
-            na_telemetry::trace::instant("artifact", "artifact_hit", Vec::new());
+            na_telemetry::add(Counter::ArtifactHits, 1);
         }
         got
     }
@@ -330,8 +333,7 @@ impl ArtifactStore {
             .cloned();
         if got.is_some() {
             self.lowered_hits.fetch_add(1, Ordering::Relaxed);
-            na_telemetry::add(na_telemetry::Counter::ArtifactLoweredHits, 1);
-            na_telemetry::trace::instant("artifact", "artifact_lowered_hit", Vec::new());
+            na_telemetry::add(Counter::ArtifactLoweredHits, 1);
         }
         got
     }
@@ -374,8 +376,8 @@ fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 struct Lower;
 
 impl Pass for Lower {
-    fn name(&self) -> &'static str {
-        "lower"
+    fn stage(&self) -> Stage {
+        Stage::Lower
     }
 
     fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), CompileError> {
@@ -399,9 +401,7 @@ impl Pass for Lower {
                     (*low).clone()
                 }
                 None => {
-                    let span = na_telemetry::time(na_telemetry::Stage::Lower);
                     let low = lower_for(ctx.source, ctx.config);
-                    drop(span);
                     if let (Some(store), Some(key)) = (ctx.reuse, ctx.reuse_key) {
                         store.insert_lowered(key, Arc::new(low.clone()));
                     }
@@ -422,8 +422,8 @@ impl Pass for Lower {
 struct ValidateArity;
 
 impl Pass for ValidateArity {
-    fn name(&self) -> &'static str {
-        "validate_arity"
+    fn stage(&self) -> Stage {
+        Stage::ValidateArity
     }
 
     fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), CompileError> {
@@ -454,8 +454,8 @@ impl Pass for ValidateArity {
 struct Place;
 
 impl Pass for Place {
-    fn name(&self) -> &'static str {
-        "place"
+    fn stage(&self) -> Stage {
+        Stage::Place
     }
 
     fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), CompileError> {
@@ -470,10 +470,8 @@ impl Pass for Place {
                     ctx.lowered = Some(lowered);
                     return Err(e);
                 }
-                let place_span = na_telemetry::time(na_telemetry::Stage::Place);
                 let weights = circuit_weights(&lowered, ctx.config.lookahead_depth);
                 let map0 = initial_placement_with(&lowered, ctx.grid, &weights, ctx.scratch);
-                drop(place_span);
                 let map0 = match map0 {
                     Ok(m) => m,
                     Err(e) => {
@@ -516,8 +514,8 @@ impl Pass for Place {
 struct RouteSchedule;
 
 impl Pass for RouteSchedule {
-    fn name(&self) -> &'static str {
-        "route_schedule"
+    fn stage(&self) -> Stage {
+        Stage::RouteSchedule
     }
 
     fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), CompileError> {
@@ -540,9 +538,9 @@ impl Pass for RouteSchedule {
         ctx.lowered = Some(lowered);
         let result = result?;
         if let Some(split) = result.route_split {
-            ctx.stat(na_telemetry::Stage::Weights.name(), split.weights_ns);
-            ctx.stat(na_telemetry::Stage::SwapSelect.name(), split.swap_select_ns);
-            ctx.stat(na_telemetry::Stage::ForcedHop.name(), split.forced_hop_ns);
+            ctx.stat(Stage::Weights.name(), split.weights_ns);
+            ctx.stat(Stage::SwapSelect.name(), split.swap_select_ns);
+            ctx.stat(Stage::ForcedHop.name(), split.forced_hop_ns);
         }
         ctx.stat("ops", result.ops.len() as u64);
         ctx.stat(
@@ -564,8 +562,8 @@ struct Verify {
 }
 
 impl Pass for Verify {
-    fn name(&self) -> &'static str {
-        "verify"
+    fn stage(&self) -> Stage {
+        Stage::Verify
     }
 
     fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), CompileError> {
@@ -601,16 +599,16 @@ impl Pass for Verify {
 struct Finalize;
 
 impl Pass for Finalize {
-    fn name(&self) -> &'static str {
-        "finalize"
+    fn stage(&self) -> Stage {
+        Stage::Finalize
     }
 
     fn run(&self, ctx: &mut PassContext<'_>) -> Result<(), CompileError> {
         let lowered = ctx.lowered.take().expect("lower pass ran");
         let initial_table = ctx.initial_table.take().expect("place pass ran");
         let result = ctx.schedule.take().expect("route_schedule pass ran");
-        na_telemetry::add(na_telemetry::Counter::Compiles, 1);
-        na_telemetry::add(na_telemetry::Counter::OpsScheduled, result.ops.len() as u64);
+        na_telemetry::add(Counter::Compiles, 1);
+        na_telemetry::add(Counter::OpsScheduled, result.ops.len() as u64);
         let compiled = CompiledCircuit::from_parts(lowered, result, initial_table, *ctx.config);
         ctx.stat("used_sites", compiled.used_sites().len() as u64);
         ctx.compiled = Some(compiled);
@@ -658,14 +656,9 @@ impl Pipeline {
         }
     }
 
-    /// Appends a custom pass (see the module docs).
-    pub fn push(&mut self, pass: Box<dyn Pass>) {
-        self.passes.push(pass);
-    }
-
     /// The pass names in execution order.
     pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
+        self.passes.iter().map(|p| p.stage().name()).collect()
     }
 
     /// Runs every pass in order over `ctx` and returns the compiled
@@ -705,24 +698,19 @@ impl Pipeline {
             // typed error instead of burning its worker. One relaxed
             // load when no deadline is armed.
             na_faults::check_deadline()?;
-            let _pass_span = na_telemetry::trace::span("pass", pass.name());
-            match report.as_deref_mut() {
-                Some(r) => {
-                    ctx.stats = Some(BTreeMap::new());
-                    let t0 = Instant::now();
-                    let outcome = pass.run(ctx);
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    let stats = ctx.stats.take().unwrap_or_default();
-                    r.passes.push(PassTiming {
-                        pass: pass.name().to_string(),
-                        ns,
-                        stats,
-                    });
-                    r.total_ns += ns;
-                    outcome?;
-                }
-                None => pass.run(ctx)?,
+            ctx.stats = report.is_some().then(BTreeMap::new);
+            let span = Span::open(pass.stage(), report.is_some(), Parent::Enclosing, Vec::new);
+            let outcome = pass.run(ctx);
+            let ns = span.finish();
+            if let Some(r) = report.as_deref_mut() {
+                r.passes.push(PassTiming {
+                    pass: pass.stage().name().to_string(),
+                    ns,
+                    stats: ctx.stats.take().unwrap_or_default(),
+                });
+                r.total_ns += ns;
             }
+            outcome?;
         }
         Ok(ctx
             .compiled
@@ -786,11 +774,7 @@ mod tests {
         assert_eq!(by_name("verify").stats["skipped"], 1);
         // The routing sub-stages carry their metric names.
         let route = &by_name("route_schedule").stats;
-        for stage in [
-            na_telemetry::Stage::Weights,
-            na_telemetry::Stage::SwapSelect,
-            na_telemetry::Stage::ForcedHop,
-        ] {
+        for stage in [Stage::Weights, Stage::SwapSelect, Stage::ForcedHop] {
             assert!(route.contains_key(stage.name()), "{} missing", stage.name());
         }
     }

@@ -41,15 +41,20 @@
 //!
 //! # Telemetry split
 //!
-//! [`run`] reports its wall time under `Stage::Route` (SWAP insertion
-//! and forced BFS hops — phase 2/3 above) and `Stage::Schedule`
-//! (everything else: frontier refill, in-range packing, zone claims).
-//! Routing is further split into `Stage::Weights` (bringing partner
-//! lists up to date), `Stage::SwapSelect` (the rest of SWAP
-//! selection: candidate scans, scoring, zone claims) and
-//! `Stage::ForcedHop` (the BFS fallback). Each is recorded once per
-//! compile and costs zero clock reads unless timing is requested; the
+//! The pipeline runner times the whole `route_schedule` pass as one
+//! span. Inside it, [`run`] splits its own loop, which no span can
+//! wrap because the phases interleave every timestep: it accumulates
+//! `Stage::Route` (SWAP insertion and forced BFS hops — phase 2/3
+//! above) and `Stage::Schedule` (everything else: frontier refill,
+//! in-range packing, zone claims). Routing is further split into
+//! `Stage::Weights` (bringing partner lists up to date),
+//! `Stage::SwapSelect` (the rest of SWAP selection: candidate scans,
+//! scoring, zone claims) and `Stage::ForcedHop` (the BFS fallback).
+//! Each is fed once per compile through `na_telemetry::record_ns` and
+//! costs zero clock reads unless timing is requested; the
 //! `route_schedule` pass reports the sub-stages under the same names.
+//! The pass span minus `route + schedule` is the interaction-graph
+//! lookup and the scheduler's setup.
 
 use crate::lookahead::{LookaheadScratch, LookaheadWindow};
 use crate::routing::{all_within_mid, best_swap_for_gate, meeting_point_of_sites, SwapScratch};

@@ -91,8 +91,10 @@ enum EntryState {
     Vacant,
     /// A thread is compiling; requesters wait on the entry's condvar.
     InFlight,
-    /// Terminal memoized result shared by every requester.
-    Done(CompileResult),
+    /// Terminal memoized result shared by every requester, with the
+    /// compiling thread's [`PassReport`] (collected only while
+    /// telemetry is enabled).
+    Done(CompileResult, Option<Arc<PassReport>>),
 }
 
 /// One keyed entry: a state cell plus the condvar in-flight waiters
@@ -170,10 +172,6 @@ pub struct CompileCache {
     /// entries that differ only in MID/zone policy — a finer-grained
     /// reuse seam than the whole-compilation entries above.
     artifacts: ArtifactStore,
-    /// Per-entry [`PassReport`] from the compiling thread (collected
-    /// only while telemetry is enabled); runner rows attach it next to
-    /// their stage deltas.
-    reports: Mutex<HashMap<CacheKey, Arc<PassReport>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -210,16 +208,15 @@ impl CompileCache {
             let mut state = lock_recover(&entry.state);
             loop {
                 match &*state {
-                    EntryState::Done(result) => {
+                    EntryState::Done(result, _) => {
                         let result = result.clone();
                         drop(state);
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         na_telemetry::add(na_telemetry::Counter::CompileCacheHits, 1);
-                        na_telemetry::trace::instant("cache", "cache_hit", Vec::new());
                         return result;
                     }
                     EntryState::InFlight => {
-                        let _wait_span = na_telemetry::trace::span("cache", "cache_wait");
+                        let _wait = na_telemetry::time(na_telemetry::Stage::CacheWait);
                         state = entry
                             .ready
                             .wait(state)
@@ -240,6 +237,7 @@ impl CompileCache {
             cell: &entry,
             armed: true,
         };
+        let mut report = None;
         let result: CompileResult = na_faults::point("engine.compile")
             .map_err(CompileError::from)
             .and_then(|()| {
@@ -249,10 +247,8 @@ impl CompileCache {
                     ctx.reuse_from(&self.artifacts);
                     let pipeline = Pipeline::standard();
                     if na_telemetry::is_enabled() {
-                        let (compiled, report) = pipeline.run_reported(&mut ctx)?;
-                        lock_recover(&self.reports)
-                            .entry(key)
-                            .or_insert_with(|| Arc::new(report));
+                        let (compiled, passes) = pipeline.run_reported(&mut ctx)?;
+                        report = Some(Arc::new(passes));
                         Ok(Arc::new(compiled))
                     } else {
                         pipeline.run(&mut ctx).map(Arc::new)
@@ -268,13 +264,12 @@ impl CompileCache {
                 // claim so the next requester compiles for real.
                 *state = EntryState::Vacant;
             } else {
-                *state = EntryState::Done(result.clone());
+                *state = EntryState::Done(result.clone(), report);
             }
         }
         entry.ready.notify_all();
         self.misses.fetch_add(1, Ordering::Relaxed);
         na_telemetry::add(na_telemetry::Counter::CompileCacheMisses, 1);
-        na_telemetry::trace::instant("cache", "cache_miss", Vec::new());
         result
     }
 
@@ -304,7 +299,12 @@ impl CompileCache {
     /// is enabled). Cache hits share the original compile's report —
     /// it describes the artifact, not the lookup.
     pub fn pass_report(&self, key: &CacheKey) -> Option<Arc<PassReport>> {
-        lock_recover(&self.reports).get(key).cloned()
+        let entry = lock_recover(&self.entries).get(key).cloned()?;
+        let state = lock_recover(&entry.state);
+        match &*state {
+            EntryState::Done(_, report) => report.clone(),
+            _ => None,
+        }
     }
 
     /// The pass pipeline's front-end artifact store (placement reuse
@@ -320,7 +320,7 @@ impl CompileCache {
     pub fn contains(&self, key: &CacheKey) -> bool {
         lock_recover(&self.entries)
             .get(key)
-            .is_some_and(|entry| matches!(&*lock_recover(&entry.state), EntryState::Done(_)))
+            .is_some_and(|entry| matches!(&*lock_recover(&entry.state), EntryState::Done(..)))
     }
 
     /// Current counters and size.
@@ -332,12 +332,11 @@ impl CompileCache {
         }
     }
 
-    /// Drops all entries (summaries, pass artifacts, and reports
-    /// included) and zeroes the counters.
+    /// Drops all entries (with their reports, summaries and pass
+    /// artifacts) and zeroes the counters.
     pub fn clear(&self) {
         lock_recover(&self.entries).clear();
         lock_recover(&self.summaries).clear();
-        lock_recover(&self.reports).clear();
         self.artifacts.clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);

@@ -11,6 +11,7 @@ use na_circuit::CircuitMetrics;
 use na_core::{CompileError, CompiledMetrics};
 use na_loss::CampaignResult;
 use na_noise::SuccessBreakdown;
+use na_telemetry::{trace, ArgValue};
 use serde::{Deserialize, Serialize};
 
 /// The measured result of one job.
@@ -91,20 +92,16 @@ impl Outcome {
     pub fn from_error(e: &CompileError) -> Self {
         let unroutable = matches!(e, CompileError::UnroutableGate { .. });
         let deadline = matches!(e, CompileError::DeadlineExceeded);
-        if na_telemetry::trace::is_enabled() {
-            let name = if deadline {
-                "deadline"
-            } else if unroutable {
-                "unroutable"
-            } else {
-                "error"
-            };
-            na_telemetry::trace::instant(
-                "fault",
-                name,
-                vec![("message", na_telemetry::trace::ArgValue::Str(e.to_string()))],
-            );
-        }
+        let name = if deadline {
+            "deadline"
+        } else if unroutable {
+            "unroutable"
+        } else {
+            "error"
+        };
+        trace::instant("fault", name, || {
+            vec![("message", ArgValue::Str(e.to_string()))]
+        });
         Outcome::Failed {
             unroutable,
             panicked: false,
@@ -117,16 +114,9 @@ impl Outcome {
     /// isolated; `message` is the extracted panic payload. Emits a
     /// `panic` trace instant on the catching thread.
     pub fn from_panic(message: String) -> Self {
-        if na_telemetry::trace::is_enabled() {
-            na_telemetry::trace::instant(
-                "fault",
-                "panic",
-                vec![(
-                    "message",
-                    na_telemetry::trace::ArgValue::Str(message.clone()),
-                )],
-            );
-        }
+        trace::instant("fault", "panic", || {
+            vec![("message", ArgValue::Str(message.clone()))]
+        });
         Outcome::Failed {
             unroutable: false,
             panicked: true,

@@ -17,12 +17,13 @@ use na_noise::{
     crosstalk_exposures, crosstalk_success, success_probability, success_with_crosstalk,
     CrosstalkParams, NoiseParams,
 };
+use na_telemetry::{ArgValue, Parent, Span, Stage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// The parallel experiment executor. Owns worker configuration and
@@ -127,24 +128,27 @@ impl Engine {
                         let remaining = AtomicUsize::new(ranges.len());
                         items.extend((0..ranges.len()).map(|shard| WorkItem::Shard { fan, shard }));
                         // The job span of a sharded campaign outlives
-                        // any single worker: allocate its id and begin
-                        // timestamp here; the merging worker emits the
-                        // complete span onto the job's virtual track.
-                        let (trace_span, trace_begin_ns) = if na_telemetry::trace::is_enabled() {
-                            (
-                                na_telemetry::trace::alloc_span_id(),
-                                na_telemetry::trace::now_ns(),
-                            )
-                        } else {
-                            (0, 0)
-                        };
+                        // any single worker: it opens here, on the
+                        // job's virtual track, and the merging worker
+                        // ends it.
+                        let job_span = Span::open(
+                            Stage::CampaignJob,
+                            false,
+                            Parent::Track(na_telemetry::trace::JOB_TRACK_BASE + job.id),
+                            || {
+                                vec![
+                                    ("job", ArgValue::U64(job.id)),
+                                    ("shards", ArgValue::U64(ranges.len() as u64)),
+                                ]
+                            },
+                        );
                         fans.push(ShardFan {
                             job_index: i,
                             ranges,
                             results,
                             remaining,
-                            trace_span,
-                            trace_begin_ns,
+                            job_span_id: job_span.id(),
+                            job_span: Mutex::new(Some(job_span)),
                         });
                     }
                     Err(plan) => {
@@ -178,7 +182,7 @@ impl Engine {
                 let fan = &fans[fan];
                 let job = &jobs[fan.job_index];
                 fan.results[shard]
-                    .set(self.run_shard_isolated(job, shard, fan.ranges[shard], fan.trace_span))
+                    .set(self.run_shard_isolated(job, shard, fan.ranges[shard], fan.job_span_id))
                     .expect("shard slot written once");
                 // `AcqRel` so the last finisher observes every other
                 // shard's completed write before merging.
@@ -214,7 +218,6 @@ impl Engine {
                         // into the global registries before the scope
                         // joins it.
                         na_telemetry::flush_local();
-                        na_telemetry::trace::flush_local();
                     });
                 }
             });
@@ -253,17 +256,12 @@ impl Engine {
     /// isolated into an [`Outcome::from_panic`] row — the worker keeps
     /// draining the cursor and every other job's row is unaffected.
     fn run_job_isolated(&self, job: &Job) -> RunRecord {
-        let _job_span = na_telemetry::trace::span_with(
-            "job",
-            "job",
+        let _job_span = Span::open(Stage::Job, false, Parent::Enclosing, || {
             vec![
-                ("job", na_telemetry::trace::ArgValue::U64(job.id)),
-                (
-                    "task",
-                    na_telemetry::trace::ArgValue::Str(job.task.name().to_string()),
-                ),
-            ],
-        );
+                ("job", ArgValue::U64(job.id)),
+                ("task", ArgValue::Str(job.task.name().to_string())),
+            ]
+        });
         let _scope = na_faults::scope(format!("job{}", job.id));
         let _deadline = na_faults::push_deadline(match self.job_timeout {
             Some(budget) => na_faults::Deadline::after(budget),
@@ -300,17 +298,14 @@ impl Engine {
         job: &Job,
         shard: usize,
         range: ShotRange,
-        trace_parent: u64,
+        job_span_id: u64,
     ) -> ShardDone {
-        let _shard_span = na_telemetry::trace::span_child_of(
-            "shard",
-            "shard",
-            trace_parent,
+        let _shard_span = Span::open(Stage::Shard, false, Parent::Span(job_span_id), || {
             vec![
-                ("job", na_telemetry::trace::ArgValue::U64(job.id)),
-                ("shard", na_telemetry::trace::ArgValue::U64(shard as u64)),
-            ],
-        );
+                ("job", ArgValue::U64(job.id)),
+                ("shard", ArgValue::U64(shard as u64)),
+            ]
+        });
         let _scope = na_faults::scope(format!("job{}.shard{}", job.id, shard));
         let _deadline = na_faults::push_deadline(match self.job_timeout {
             Some(budget) => na_faults::Deadline::after(budget),
@@ -405,12 +400,12 @@ struct ShardFan {
     /// Shards still running; the worker that decrements this to zero
     /// merges and writes the job's row.
     remaining: AtomicUsize,
-    /// Pre-allocated trace span id of the whole job (0 = tracing off).
-    /// Shard spans parent under it; the merging worker emits it as a
-    /// complete span on the job's virtual track.
-    trace_span: u64,
-    /// Trace timestamp of fan creation (the job span's begin).
-    trace_begin_ns: u64,
+    /// Trace id of the whole-job span (0 = untraced); shard and merge
+    /// spans parent under it.
+    job_span_id: u64,
+    /// The whole-job span, opened at fan creation on the job's virtual
+    /// track and ended by the merging worker.
+    job_span: Mutex<Option<Span>>,
 }
 
 /// What one shard produced: its partial campaign, or the typed
@@ -474,18 +469,12 @@ fn execute_shard(
 /// lowest-indexed failure. Telemetry-tagged rows carry the per-stage
 /// sums in `timings` and the per-shard breakdown in `shard_timings`.
 fn merge_fan(job: &Job, fan: &ShardFan, cache: &CompileCache) -> RunRecord {
-    let _merge_span = na_telemetry::trace::span_child_of(
-        "shard",
-        "merge",
-        fan.trace_span,
+    let merge_span = Span::open(Stage::Merge, false, Parent::Span(fan.job_span_id), || {
         vec![
-            ("job", na_telemetry::trace::ArgValue::U64(job.id)),
-            (
-                "shards",
-                na_telemetry::trace::ArgValue::U64(fan.ranges.len() as u64),
-            ),
-        ],
-    );
+            ("job", ArgValue::U64(job.id)),
+            ("shards", ArgValue::U64(fan.ranges.len() as u64)),
+        ]
+    });
     let done: Vec<&ShardDone> = fan
         .results
         .iter()
@@ -525,25 +514,10 @@ fn merge_fan(job: &Job, fan: &ShardFan, cache: &CompileCache) -> RunRecord {
             record.pass_report = cache.pass_report(&key).map(|r| (*r).clone());
         }
     }
-    // The whole-job span, back-dated to fan creation and emitted on
-    // the job's own virtual track (it spans multiple workers).
-    if fan.trace_span != 0 {
-        na_telemetry::trace::complete(
-            "job",
-            "campaign_job",
-            na_telemetry::trace::JOB_TRACK_BASE + job.id,
-            fan.trace_begin_ns,
-            na_telemetry::trace::now_ns(),
-            fan.trace_span,
-            0,
-            vec![
-                ("job", na_telemetry::trace::ArgValue::U64(job.id)),
-                (
-                    "shards",
-                    na_telemetry::trace::ArgValue::U64(fan.ranges.len() as u64),
-                ),
-            ],
-        );
+    merge_span.finish();
+    // The whole-job span ends with its merge, on this worker.
+    if let Ok(Some(job_span)) = fan.job_span.lock().map(|mut span| span.take()) {
+        job_span.finish();
     }
     record
 }

@@ -44,6 +44,7 @@
 //! Everything here is process-global state; tests that arm faults must
 //! serialize through [`exclusive`] and disarm with [`reset`].
 
+use na_telemetry::ArgValue;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::error::Error;
@@ -361,18 +362,16 @@ fn point_armed(site: &'static str) -> Result<(), InjectedFault> {
             .map(|p| p.action);
         (hit, action)
     });
-    if action.is_some() && na_telemetry::trace::is_enabled() {
+    if action.is_some() {
         // Mark the injection on the causal timeline *before* the
         // action fires — a panic unwinds past this frame, but the
         // thread's trace buffer survives to the worker's flush.
-        na_telemetry::trace::instant(
-            "fault",
-            "fault_injected",
+        na_telemetry::trace::instant("fault", "fault_injected", || {
             vec![
-                ("site", na_telemetry::trace::ArgValue::Str(site.to_string())),
-                ("hit", na_telemetry::trace::ArgValue::U64(hit)),
-            ],
-        );
+                ("site", ArgValue::Str(site.to_string())),
+                ("hit", ArgValue::U64(hit)),
+            ]
+        });
     }
     match action {
         None => Ok(()),
@@ -502,7 +501,7 @@ pub fn check_deadline() -> Result<(), DeadlineExceeded> {
 fn check_deadline_slow() -> Result<(), DeadlineExceeded> {
     CURRENT_DEADLINE.with(|c| match c.get() {
         Some(t) if Instant::now() >= t => {
-            na_telemetry::trace::instant("fault", "deadline_expired", Vec::new());
+            na_telemetry::trace::instant("fault", "deadline_expired", Vec::new);
             Err(DeadlineExceeded)
         }
         _ => Ok(()),

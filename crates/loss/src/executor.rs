@@ -679,7 +679,6 @@ fn campaign_loop(
         }
         if need_reload {
             na_telemetry::add(na_telemetry::Counter::Reloads, 1);
-            na_telemetry::trace::instant("campaign", "reload", Vec::new());
             state.reload();
             base = success_probability(state.compiled(), &params);
             ledger.add_reload(&cfg.overheads);

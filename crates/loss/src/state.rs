@@ -299,7 +299,8 @@ impl StrategyState {
                         let elapsed = t0.elapsed();
                         // Reuses the measurement the outcome reports
                         // anyway — no extra clock read for telemetry.
-                        na_telemetry::record_duration(na_telemetry::Stage::Recompile, elapsed);
+                        let ns = elapsed.as_nanos() as u64;
+                        na_telemetry::record_ns(na_telemetry::Stage::Recompile, ns);
                         na_telemetry::add(na_telemetry::Counter::Recompiles, 1);
                         LossOutcome::Recompiled {
                             compile_seconds: elapsed.as_secs_f64(),

@@ -1,40 +1,41 @@
 //! `na-telemetry`: zero-dependency structured instrumentation.
 //!
-//! Stage timers, monotonic counters, high-watermark gauges, and
-//! log-scale latency histograms for the natoms pipeline. The design
-//! has one hard contract: **instrumentation is strictly
-//! observational**. It draws no RNG, changes no float accumulation
-//! order, and when disabled (the default) every event site costs a
-//! single relaxed atomic load and branch — so all golden digests
-//! (schedules, placements, campaigns) are byte-identical with metrics
-//! on or off.
+//! One timing primitive: [`time`] opens a [`Span`], which reads the
+//! clock once at the start and once at the end. That one measurement
+//! feeds the stage's latency histogram when metrics are on
+//! ([`set_enabled`], `--metrics`), writes begin/end trace events named
+//! [`Stage::name`] when tracing is on ([`trace::set_enabled`],
+//! `--trace`), and is returned by [`Span::finish`] (the pass report's
+//! time). [`Stage`] is the one set of names for all three. A counter
+//! is one [`add`] call, which for the counters that mark the timeline
+//! also writes an instant named after the counter.
 //!
-//! # Model
+//! **Instrumentation is strictly observational**: it draws no RNG,
+//! changes no float accumulation order, and with both sinks off (the
+//! default) every event site costs one relaxed atomic load and a
+//! branch and touches no thread-local state, so all golden digests are
+//! byte-identical with metrics and tracing on or off.
 //!
-//! - Events are recorded into a **thread-local [`Recorder`]** with
-//!   plain array arithmetic — no locks on the hot path. Engine workers
-//!   call [`flush_local`] before they join; [`snapshot`] flushes the
-//!   calling thread implicitly.
-//! - Flushed recorders merge into the global [`Registry`]. Counter
-//!   addition, gauge max, and bucketwise histogram addition are all
-//!   commutative and associative, so the merged result is independent
-//!   of worker scheduling and join order.
-//! - [`snapshot`] produces a serde-serializable [`MetricsSnapshot`]
-//!   with per-stage p50/p90/p99 latency extracted from the histograms.
-//!
-//! # Usage
+//! Events land in **one thread-local buffer** (a [`Recorder`],
+//! allocated on first use, plus the thread's trace events) with no
+//! locks on the hot path. Engine workers call [`flush_local`] once
+//! before they join; [`snapshot`] and [`trace::take_events`] flush the
+//! calling thread. Counter addition, gauge max, and bucketwise
+//! histogram addition are commutative and associative, so the merged
+//! [`Registry`] is independent of worker scheduling and join order.
 //!
 //! ```
 //! use na_telemetry as tel;
 //!
 //! tel::set_enabled(true);
 //! {
-//!     let _span = tel::time(tel::Stage::Place); // RAII: records on drop
+//!     let _span = tel::time(tel::Stage::Place); // records on drop
 //!     // ... placement work ...
 //! }
 //! tel::add(tel::Counter::CompileCacheMisses, 1);
 //! let snap = tel::snapshot();
 //! assert_eq!(snap.counter("compile_cache_misses"), 1);
+//! assert_eq!(snap.stage("place").unwrap().count, 1);
 //! tel::reset();
 //! tel::set_enabled(false);
 //! ```
@@ -49,224 +50,206 @@ pub use clock::{iso8601_now, iso8601_utc};
 pub use histogram::{Histogram, LINEAR_LIMIT, NUM_BUCKETS};
 pub use recorder::Recorder;
 pub use snapshot::{fmt_ns, MetricsSnapshot, StageSummary, SNAPSHOT_SCHEMA};
+pub use trace::ArgValue;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
-/// Timed pipeline stages. Each owns one latency histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Gate-set lowering (`lower_for`) ahead of mapping.
-    Lower,
-    /// Interaction-DAG construction plus initial placement.
-    Place,
-    /// Routing inside the scheduler loop: SWAP insertion and forced
-    /// BFS hops. The sum of [`Stage::Weights`], [`Stage::SwapSelect`]
-    /// and [`Stage::ForcedHop`].
-    Route,
-    /// Routing sub-stage: bringing lookahead partner lists up to date
-    /// (pushing completed gates through the layer window, refreshing
-    /// the partners of the qubits a SWAP score reads).
-    Weights,
-    /// Routing sub-stage: SWAP candidate scans, scoring and zone
-    /// claims, minus [`Stage::Weights`].
-    SwapSelect,
-    /// Routing sub-stage: forced BFS hops when a step would otherwise
-    /// be empty.
-    ForcedHop,
-    /// Restriction-zone gate scheduling (the scheduler loop minus the
-    /// routing phases reported under [`Stage::Route`]).
-    Schedule,
-    /// Post-compile schedule verification.
-    Verify,
-    /// Loss campaign: array shift / remap after an atom loss.
-    Remap,
-    /// Loss campaign: SWAP-fixup search over the hole-masked grid.
-    LossFixup,
-    /// Loss campaign: full recompilation fallback.
-    Recompile,
-    /// One loss-campaign shot end to end.
-    Shot,
+/// Declares a dense, named instrumentation enum: the variants,
+/// `COUNT`, `ALL`, `index`, the stable snake_case `name` and, in the
+/// second form, a per-variant `meta` value.
+macro_rules! named_enum {
+    ($(#[$doc:meta])* $ty:ident { $($(#[$vdoc:meta])* $v:ident = $name:literal),* $(,)? }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty {
+            $($(#[$vdoc])* $v,)*
+        }
+
+        impl $ty {
+            /// Number of variants.
+            pub const COUNT: usize = [$($name),*].len();
+            /// All variants, in snapshot order.
+            pub const ALL: [$ty; $ty::COUNT] = [$($ty::$v),*];
+
+            /// Dense index for array storage.
+            #[inline]
+            pub const fn index(self) -> usize {
+                self as usize
+            }
+
+            /// Stable snake_case name used in snapshots, trace events
+            /// and JSONL rows.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($ty::$v => $name,)*
+                }
+            }
+        }
+    };
+    ($(#[$doc:meta])* $ty:ident: $meta:ty {
+        $($(#[$vdoc:meta])* $v:ident = $name:literal => $m:expr),* $(,)?
+    }) => {
+        named_enum!($(#[$doc])* $ty { $($(#[$vdoc])* $v = $name),* });
+
+        impl $ty {
+            #[inline]
+            const fn meta(self) -> $meta {
+                match self {
+                    $($ty::$v => $m,)*
+                }
+            }
+        }
+    };
+}
+
+named_enum! {
+    /// Timed stages. Each owns one latency histogram, and a span of a
+    /// traced stage is a trace span of the same name. The meta value
+    /// is `(category, traced)`.
+    Stage: (&'static str, bool) {
+        /// Pass: gate-set lowering (`lower_for`) or its artifact reuse.
+        Lower = "lower" => ("pass", true),
+        /// Pass: rejects native gates no placement can bring within
+        /// the MID.
+        ValidateArity = "validate_arity" => ("pass", true),
+        /// Pass: capacity check plus initial placement (or its reuse).
+        Place = "place" => ("pass", true),
+        /// Pass: the restriction-zone scheduler, including the
+        /// interaction-graph lookup. Split further by the scheduler
+        /// into [`Stage::Route`] and [`Stage::Schedule`].
+        RouteSchedule = "route_schedule" => ("pass", true),
+        /// Pass: in-pipeline schedule verification; also the public
+        /// `na_core::verify` entry point.
+        Verify = "verify" => ("pass", true),
+        /// Pass: assembles the compiled circuit.
+        Finalize = "finalize" => ("pass", true),
+        /// Scheduler: SWAP insertion and forced BFS hops. The sum of
+        /// [`Stage::Weights`], [`Stage::SwapSelect`] and
+        /// [`Stage::ForcedHop`].
+        Route = "route" => ("scheduler", true),
+        /// Routing sub-stage: bringing lookahead partner lists up to
+        /// date (pushing completed gates through the layer window,
+        /// refreshing the partners of the qubits a SWAP score reads).
+        Weights = "weights" => ("scheduler", true),
+        /// Routing sub-stage: SWAP candidate scans, scoring and zone
+        /// claims, minus [`Stage::Weights`].
+        SwapSelect = "swap_select" => ("scheduler", true),
+        /// Routing sub-stage: forced BFS hops when a step would
+        /// otherwise be empty.
+        ForcedHop = "forced_hop" => ("scheduler", true),
+        /// Scheduler: restriction-zone gate scheduling (the scheduler
+        /// loop minus [`Stage::Route`]).
+        Schedule = "schedule" => ("scheduler", true),
+        /// Loss campaign: array shift / remap after an atom loss.
+        Remap = "remap" => ("campaign", false),
+        /// Loss campaign: SWAP-fixup search over the hole-masked grid.
+        LossFixup = "loss_fixup" => ("campaign", false),
+        /// Loss campaign: full recompilation fallback.
+        Recompile = "recompile" => ("campaign", false),
+        /// One loss-campaign shot end to end.
+        Shot = "shot" => ("campaign", false),
+        /// One engine job on its worker.
+        Job = "job" => ("job", true),
+        /// One shot-range shard of a sharded campaign.
+        Shard = "shard" => ("shard", true),
+        /// The in-order merge of a sharded campaign's shards.
+        Merge = "merge" => ("shard", true),
+        /// A sharded campaign job, from fan-out to merge, on its own
+        /// virtual track.
+        CampaignJob = "campaign_job" => ("job", true),
+        /// Waiting on another thread's in-flight compile of the same
+        /// cache key.
+        CacheWait = "cache_wait" => ("cache", true),
+    }
 }
 
 impl Stage {
-    /// Number of stages.
-    pub const COUNT: usize = 12;
-    /// All stages, in snapshot order.
-    pub const ALL: [Stage; Stage::COUNT] = [
-        Stage::Lower,
-        Stage::Place,
-        Stage::Route,
-        Stage::Weights,
-        Stage::SwapSelect,
-        Stage::ForcedHop,
-        Stage::Schedule,
-        Stage::Verify,
-        Stage::Remap,
-        Stage::LossFixup,
-        Stage::Recompile,
-        Stage::Shot,
-    ];
-
-    /// Dense index for array storage.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self as usize
+    /// Trace category of the stage's spans (`"pass"` for the compile
+    /// passes).
+    pub const fn category(self) -> &'static str {
+        self.meta().0
     }
 
-    /// Stable snake_case name used in snapshots and JSONL rows.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Stage::Lower => "lower",
-            Stage::Place => "place",
-            Stage::Route => "route",
-            Stage::Weights => "weights",
-            Stage::SwapSelect => "swap_select",
-            Stage::ForcedHop => "forced_hop",
-            Stage::Schedule => "schedule",
-            Stage::Verify => "verify",
-            Stage::Remap => "remap",
-            Stage::LossFixup => "loss_fixup",
-            Stage::Recompile => "recompile",
-            Stage::Shot => "shot",
-        }
+    /// Whether spans of this stage write trace events. The per-shot
+    /// campaign stages do not: a trace holds spans per pass, job and
+    /// shard, never per shot.
+    pub const fn traced(self) -> bool {
+        self.meta().1
     }
 }
 
-/// Monotonic event counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Counter {
-    /// Full compiler pipeline runs.
-    Compiles,
-    /// Compile-cache lookups served from a memoized entry.
-    CompileCacheHits,
-    /// Compile-cache lookups that ran the compiler.
-    CompileCacheMisses,
-    /// Artifact-store placement reuses across MID points (PR 8).
-    ArtifactHits,
-    /// Artifact-store lowered-circuit reuses across MID points.
-    ArtifactLoweredHits,
-    /// Scheduled operations emitted across all compiles.
-    OpsScheduled,
-    /// Loss-campaign shots attempted.
-    ShotsAttempted,
-    /// Atom losses drawn across all shots.
-    LossesDrawn,
-    /// Array shifts / remaps applied after losses.
-    Remaps,
-    /// SWAP-fixup searches run after remaps.
-    Fixups,
-    /// BFS node expansions spent inside fixup searches.
-    FixupBfsExpansions,
-    /// Full recompilations triggered by losses.
-    Recompiles,
-    /// Array reloads (campaign strategy gave up on the shot state).
-    Reloads,
-    /// Engine jobs that produced a `Failed` row (any cause).
-    JobsFailed,
-    /// Engine jobs whose panic was caught and isolated into a row.
-    JobsPanicked,
-    /// Engine jobs that ran out of their cooperative deadline budget.
-    DeadlinesExceeded,
-    /// Campaign shards executed (sharded fan-out across the pool).
-    CampaignShards,
-}
-
-impl Counter {
-    /// Number of counters.
-    pub const COUNT: usize = 17;
-    /// All counters, in snapshot order.
-    pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::Compiles,
-        Counter::CompileCacheHits,
-        Counter::CompileCacheMisses,
-        Counter::ArtifactHits,
-        Counter::ArtifactLoweredHits,
-        Counter::OpsScheduled,
-        Counter::ShotsAttempted,
-        Counter::LossesDrawn,
-        Counter::Remaps,
-        Counter::Fixups,
-        Counter::FixupBfsExpansions,
-        Counter::Recompiles,
-        Counter::Reloads,
-        Counter::JobsFailed,
-        Counter::JobsPanicked,
-        Counter::DeadlinesExceeded,
-        Counter::CampaignShards,
-    ];
-
-    /// Dense index for array storage.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case name used in snapshots.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Counter::Compiles => "compiles",
-            Counter::CompileCacheHits => "compile_cache_hits",
-            Counter::CompileCacheMisses => "compile_cache_misses",
-            Counter::ArtifactHits => "artifact_hits",
-            Counter::ArtifactLoweredHits => "artifact_lowered_hits",
-            Counter::OpsScheduled => "ops_scheduled",
-            Counter::ShotsAttempted => "shots_attempted",
-            Counter::LossesDrawn => "losses_drawn",
-            Counter::Remaps => "remaps",
-            Counter::Fixups => "fixups",
-            Counter::FixupBfsExpansions => "fixup_bfs_expansions",
-            Counter::Recompiles => "recompiles",
-            Counter::Reloads => "reloads",
-            Counter::JobsFailed => "jobs_failed",
-            Counter::JobsPanicked => "jobs_panicked",
-            Counter::DeadlinesExceeded => "deadlines_exceeded",
-            Counter::CampaignShards => "campaign_shards",
-        }
+named_enum! {
+    /// Monotonic event counters. The meta value is the trace category
+    /// of the instant an [`add`] writes while tracing, for the counters
+    /// that mark the timeline.
+    Counter: Option<&'static str> {
+        /// Full compiler pipeline runs.
+        Compiles = "compiles" => None,
+        /// Compile-cache lookups served from a memoized entry.
+        CompileCacheHits = "compile_cache_hits" => Some("cache"),
+        /// Compile-cache lookups that ran the compiler.
+        CompileCacheMisses = "compile_cache_misses" => Some("cache"),
+        /// Artifact-store placement reuses across MID points.
+        ArtifactHits = "artifact_hits" => Some("artifact"),
+        /// Artifact-store lowered-circuit reuses across MID points.
+        ArtifactLoweredHits = "artifact_lowered_hits" => Some("artifact"),
+        /// Scheduled operations emitted across all compiles.
+        OpsScheduled = "ops_scheduled" => None,
+        /// Loss-campaign shots attempted.
+        ShotsAttempted = "shots_attempted" => None,
+        /// Atom losses drawn across all shots.
+        LossesDrawn = "losses_drawn" => None,
+        /// Array shifts / remaps applied after losses.
+        Remaps = "remaps" => None,
+        /// SWAP-fixup searches run after remaps.
+        Fixups = "fixups" => None,
+        /// BFS node expansions spent inside fixup searches.
+        FixupBfsExpansions = "fixup_bfs_expansions" => None,
+        /// Full recompilations triggered by losses.
+        Recompiles = "recompiles" => None,
+        /// Array reloads (campaign strategy gave up on the shot state).
+        Reloads = "reloads" => Some("campaign"),
+        /// Engine jobs that produced a `Failed` row (any cause).
+        JobsFailed = "jobs_failed" => None,
+        /// Engine jobs whose panic was caught and isolated into a row.
+        JobsPanicked = "jobs_panicked" => None,
+        /// Engine jobs that ran out of their cooperative deadline budget.
+        DeadlinesExceeded = "deadlines_exceeded" => None,
+        /// Campaign shards executed (sharded fan-out across the pool).
+        CampaignShards = "campaign_shards" => None,
     }
 }
 
-/// High-watermark gauges (merged by `max`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gauge {
-    /// Distinct fingerprints resident in the compile cache.
-    CompileCacheEntries,
-    /// Worker threads the engine ran with.
-    EngineWorkers,
-}
-
-impl Gauge {
-    /// Number of gauges.
-    pub const COUNT: usize = 2;
-    /// All gauges, in snapshot order.
-    pub const ALL: [Gauge; Gauge::COUNT] = [Gauge::CompileCacheEntries, Gauge::EngineWorkers];
-
-    /// Dense index for array storage.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case name used in snapshots.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Gauge::CompileCacheEntries => "compile_cache_entries",
-            Gauge::EngineWorkers => "engine_workers",
-        }
+named_enum! {
+    /// High-watermark gauges (merged by `max`).
+    Gauge {
+        /// Distinct fingerprints resident in the compile cache.
+        CompileCacheEntries = "compile_cache_entries",
+        /// Worker threads the engine ran with.
+        EngineWorkers = "engine_workers",
     }
 }
 
-/// A metrics sink: an enabled flag plus the merged recorder state.
+/// Sink bit: aggregate into the metrics registry.
+const METRICS: u8 = 1;
+/// Sink bit: write trace events.
+const TRACE: u8 = 2;
+/// Not a sink: a span that reads the clock for its caller even with
+/// both sinks off.
+const CLOCK: u8 = 4;
+
+/// A metrics sink: the sink switches plus the merged recorder state.
 ///
 /// The process-wide instance behind the free functions is
 /// [`Registry::global`]; independent instances (e.g. for tests) can be
-/// built with [`Registry::new`] / [`Registry::disabled`] and fed via
-/// [`Registry::merge`].
+/// built with [`Registry::new`] and fed via [`Registry::merge`].
 pub struct Registry {
-    enabled: AtomicBool,
+    /// Sink bits ([`METRICS`], and [`TRACE`] on the global instance):
+    /// one word, so an event site reads both with one relaxed load.
+    sinks: AtomicU8,
     merged: Mutex<Recorder>,
 }
 
@@ -274,16 +257,9 @@ impl Registry {
     /// A fresh registry.
     pub const fn new(enabled: bool) -> Self {
         Registry {
-            enabled: AtomicBool::new(enabled),
+            sinks: AtomicU8::new(if enabled { METRICS } else { 0 }),
             merged: Mutex::new(Recorder::new()),
         }
-    }
-
-    /// A fresh disabled registry — the default state of
-    /// [`Registry::global`]: every event site short-circuits after one
-    /// relaxed load.
-    pub const fn disabled() -> Self {
-        Registry::new(false)
     }
 
     /// The process-wide registry the free functions record into.
@@ -294,12 +270,20 @@ impl Registry {
     /// Whether collection is on.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.sinks.load(Ordering::Relaxed) & METRICS != 0
     }
 
     /// Turns collection on or off.
     pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.set_sink(METRICS, on);
+    }
+
+    fn set_sink(&self, bit: u8, on: bool) {
+        if on {
+            self.sinks.fetch_or(bit, Ordering::Relaxed);
+        } else {
+            self.sinks.fetch_and(!bit, Ordering::Relaxed);
+        }
     }
 
     /// Folds a recorder into the merged state. Order-independent.
@@ -319,105 +303,219 @@ impl Registry {
     }
 }
 
-static GLOBAL: Registry = Registry::disabled();
+static GLOBAL: Registry = Registry::new(false);
+
+/// The calling thread's share of both sinks.
+struct Local {
+    /// Boxed and allocated on first record, so a thread that never
+    /// records (every thread while metrics are off) carries no
+    /// histograms.
+    recorder: Option<Box<Recorder>>,
+    trace: trace::Buf,
+}
+
+impl Local {
+    fn recorder(&mut self) -> &mut Recorder {
+        self.recorder.get_or_insert_with(Box::default)
+    }
+}
 
 thread_local! {
-    static LOCAL: RefCell<Recorder> = const { RefCell::new(Recorder::new()) };
+    static LOCAL: RefCell<Local> = const {
+        RefCell::new(Local {
+            recorder: None,
+            trace: trace::Buf::new(),
+        })
+    };
 }
 
-/// Whether global collection is on. One relaxed load — this is the
-/// entire cost of every event site when telemetry is disabled.
+#[inline]
+fn with_local<R>(f: impl FnOnce(&mut Local) -> R) -> R {
+    LOCAL.with(|cell| f(&mut cell.borrow_mut()))
+}
+
+/// Both sink switches, with one relaxed load.
+#[inline]
+fn sinks() -> u8 {
+    GLOBAL.sinks.load(Ordering::Relaxed)
+}
+
+/// Whether global metrics collection is on. One relaxed load — this is
+/// the entire cost of every event site when both sinks are off.
 #[inline]
 pub fn is_enabled() -> bool {
-    GLOBAL.is_enabled()
+    sinks() & METRICS != 0
 }
 
-/// Turns global collection on or off.
+/// Turns global metrics collection on or off.
 pub fn set_enabled(on: bool) {
     GLOBAL.set_enabled(on);
 }
 
-#[inline]
-fn with_local<F: FnOnce(&mut Recorder)>(f: F) {
-    LOCAL.with(|cell| f(&mut cell.borrow_mut()));
-}
-
-/// Adds `n` to a counter (thread-local; no-op when disabled).
+/// Adds `n` to a counter (thread-local; no-op when disabled). While
+/// tracing, a counter that marks the timeline (see [`Counter`]) also
+/// writes an instant named after it.
 #[inline]
 pub fn add(counter: Counter, n: u64) {
-    if !is_enabled() {
+    let sinks = sinks();
+    let instant = counter.meta().filter(|_| sinks & TRACE != 0);
+    if sinks & METRICS == 0 && instant.is_none() {
         return;
     }
-    with_local(|r| r.add(counter, n));
+    with_local(|l| {
+        if sinks & METRICS != 0 {
+            l.recorder().add(counter, n);
+        }
+        if let Some(cat) = instant {
+            l.trace.instant(cat, counter.name(), Vec::new());
+        }
+    });
 }
 
 /// Raises a gauge to at least `value` (thread-local; no-op when
 /// disabled).
 #[inline]
 pub fn gauge_max(gauge: Gauge, value: u64) {
-    if !is_enabled() {
-        return;
+    if is_enabled() {
+        with_local(|l| l.recorder().gauge_max(gauge, value));
     }
-    with_local(|r| r.gauge_max(gauge, value));
 }
 
-/// Records a raw nanosecond sample for a stage (no-op when disabled).
+/// Records a raw nanosecond sample for a stage (no-op when disabled),
+/// for time the code measures anyway where no span can sit: the
+/// scheduler's accumulated routing split, the campaign's recompile
+/// fallback.
 #[inline]
 pub fn record_ns(stage: Stage, ns: u64) {
-    if !is_enabled() {
-        return;
+    if is_enabled() {
+        with_local(|l| l.recorder().record_ns(stage, ns));
     }
-    with_local(|r| r.record_ns(stage, ns));
 }
 
-/// Records an already-measured duration for a stage (no-op when
-/// disabled). Used where the code measures wall time anyway (e.g. the
-/// campaign's recompile fallback) so telemetry adds no extra clock
-/// reads.
+/// Where a span sits on the trace timeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Parent {
+    /// Under the innermost open span on this thread.
+    Enclosing,
+    /// Under an explicit span id, possibly opened on another thread
+    /// (a campaign shard under its job span).
+    Span(u64),
+    /// A root span on an explicit track, which may end on another
+    /// thread (a sharded campaign's job span, ended by whichever
+    /// worker merges the last shard).
+    Track(u64),
+}
+
+/// A timed stage: one clock read at open, one at end. See the crate
+/// docs. An inert span (both sinks off, no caller measurement) reads
+/// no clock and touches no thread-local state.
+#[must_use = "a span ends when dropped; binding it to `_` ends it at once"]
+#[derive(Debug)]
+pub struct Span {
+    stage: Stage,
+    /// Sink bits fixed at open; 0 once ended (or inert).
+    sinks: u8,
+    start_ns: u64,
+    /// Trace span id (0 when untraced).
+    id: u64,
+    /// Explicit track of a [`Parent::Track`] span (0 = this thread's).
+    track: u64,
+}
+
+/// Opens a span for `stage` under the enclosing span.
 #[inline]
-pub fn record_duration(stage: Stage, elapsed: Duration) {
-    record_ns(stage, u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+pub fn time(stage: Stage) -> Span {
+    Span::open(stage, false, Parent::Enclosing, Vec::new)
 }
 
-/// RAII span: records the elapsed time for its stage when dropped.
-/// When telemetry is disabled it holds nothing and never reads the
-/// clock.
-#[must_use = "the span records on drop; binding it to `_` drops it immediately"]
-pub struct StageTimer {
-    armed: Option<(Stage, Instant)>,
+impl Span {
+    /// Opens a span. `measure` reads the clock even with both sinks
+    /// off, for a caller that reports [`Span::finish`] itself (the
+    /// pass pipeline's report). `args` is called only when the span is
+    /// traced.
+    #[inline]
+    pub fn open(
+        stage: Stage,
+        measure: bool,
+        parent: Parent,
+        args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
+    ) -> Span {
+        let mut sinks = sinks();
+        if !stage.traced() {
+            sinks &= !TRACE;
+        }
+        if measure {
+            sinks |= CLOCK;
+        }
+        let mut span = Span {
+            stage,
+            sinks,
+            start_ns: 0,
+            id: 0,
+            track: 0,
+        };
+        if sinks == 0 {
+            return span;
+        }
+        span.start_ns = trace::now_ns();
+        if sinks & TRACE != 0 {
+            (span.id, span.track) =
+                with_local(|l| l.trace.begin(stage, span.start_ns, parent, args()));
+        }
+        span
+    }
+
+    /// The trace span id, for explicit child links across threads (0
+    /// when untraced).
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Ends the span and returns its elapsed nanoseconds — the same
+    /// value the histogram and the trace events got (0 for an inert
+    /// span).
+    pub fn finish(mut self) -> u64 {
+        self.end()
+    }
+
+    fn end(&mut self) -> u64 {
+        let sinks = std::mem::take(&mut self.sinks);
+        if sinks == 0 {
+            return 0;
+        }
+        let end_ns = trace::now_ns();
+        let ns = end_ns.saturating_sub(self.start_ns);
+        if sinks & (METRICS | TRACE) != 0 {
+            with_local(|l| {
+                if sinks & METRICS != 0 {
+                    l.recorder().record_ns(self.stage, ns);
+                }
+                if sinks & TRACE != 0 {
+                    l.trace.end(self.stage, self.id, self.track, end_ns);
+                }
+            });
+        }
+        ns
+    }
 }
 
-impl Drop for StageTimer {
+impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((stage, started)) = self.armed.take() {
-            record_duration(stage, started.elapsed());
-        }
+        self.end();
     }
 }
 
-/// Starts a scoped timer for `stage`.
-#[inline]
-pub fn time(stage: Stage) -> StageTimer {
-    StageTimer {
-        armed: if is_enabled() {
-            Some((stage, Instant::now()))
-        } else {
-            None
-        },
-    }
-}
-
-/// Merges this thread's recorder into the global registry and clears
-/// it. Engine workers call this right before joining; long-lived
-/// threads may call it at any convenient boundary.
+/// Merges this thread's recorder into the global registry and its
+/// trace events into the trace export, clearing both. Engine workers
+/// call this once right before joining; long-lived threads may call it
+/// at any convenient boundary.
 pub fn flush_local() {
-    LOCAL.with(|cell| {
-        let mut local = cell.borrow_mut();
-        if local.is_empty() {
-            return;
+    with_local(|l| {
+        if let Some(recorder) = l.recorder.as_deref_mut().filter(|r| !r.is_empty()) {
+            GLOBAL.merge(recorder);
+            recorder.clear();
         }
-        GLOBAL.merge(&local);
-        local.clear();
+        l.trace.flush();
     });
 }
 
@@ -427,10 +525,22 @@ pub fn snapshot() -> MetricsSnapshot {
     GLOBAL.snapshot()
 }
 
+/// Flushes the calling thread and takes the global merged state,
+/// leaving the registry empty: the metrics of one interval of a run
+/// (`natoms bench` takes one per workload).
+pub fn take_merged() -> Recorder {
+    flush_local();
+    std::mem::take(&mut *GLOBAL.merged.lock().unwrap())
+}
+
 /// Clears the calling thread's recorder and the global merged state.
 /// (Recorders owned by other live threads are untouched.)
 pub fn reset() {
-    LOCAL.with(|cell| cell.borrow_mut().clear());
+    with_local(|l| {
+        if let Some(recorder) = l.recorder.as_deref_mut() {
+            recorder.clear();
+        }
+    });
     GLOBAL.clear();
 }
 
@@ -440,31 +550,34 @@ pub struct StageMark {
     totals: [u64; Stage::COUNT],
 }
 
+fn stage_totals() -> [u64; Stage::COUNT] {
+    with_local(|l| {
+        let mut totals = [0u64; Stage::COUNT];
+        if let Some(recorder) = l.recorder.as_deref() {
+            for s in Stage::ALL {
+                totals[s.index()] = recorder.stage(s).sum();
+            }
+        }
+        totals
+    })
+}
+
 /// Marks the current per-stage totals on this thread.
 pub fn mark_stages() -> StageMark {
-    let mut totals = [0u64; Stage::COUNT];
-    LOCAL.with(|cell| {
-        let local = cell.borrow();
-        for s in Stage::ALL {
-            totals[s.index()] = local.stage(s).sum();
-        }
-    });
-    StageMark { totals }
+    StageMark {
+        totals: stage_totals(),
+    }
 }
 
 /// Nanoseconds accrued per stage on this thread since `mark`, keyed by
 /// stage name; zero-delta stages are omitted. Used by the engine to
 /// tag each JSONL row with its job's stage timings.
 pub fn stage_deltas_since(mark: &StageMark) -> BTreeMap<String, u64> {
-    let mut deltas = BTreeMap::new();
-    LOCAL.with(|cell| {
-        let local = cell.borrow();
-        for s in Stage::ALL {
-            let delta = local.stage(s).sum().saturating_sub(mark.totals[s.index()]);
-            if delta > 0 {
-                deltas.insert(s.name().to_string(), delta);
-            }
-        }
-    });
-    deltas
+    let totals = stage_totals();
+    Stage::ALL
+        .iter()
+        .map(|s| (s, totals[s.index()].saturating_sub(mark.totals[s.index()])))
+        .filter(|&(_, delta)| delta > 0)
+        .map(|(s, delta)| (s.name().to_string(), delta))
+        .collect()
 }

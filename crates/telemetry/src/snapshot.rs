@@ -120,12 +120,12 @@ impl MetricsSnapshot {
         }
         if !self.stages.is_empty() {
             out.push_str(&format!(
-                "  {:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
+                "  {:<14} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
                 "stage", "count", "total", "p50", "p90", "p99", "max"
             ));
             for (name, s) in &self.stages {
                 out.push_str(&format!(
-                    "  {:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
+                    "  {:<14} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
                     name,
                     s.count,
                     fmt_ns(s.total_ns),

@@ -1,38 +1,34 @@
 //! Causal span tracing: begin/end/instant events on a per-thread
-//! timeline, exported as Chrome trace-event JSON.
+//! timeline, exported as Chrome trace-event JSON (Perfetto,
+//! `chrome://tracing`).
 //!
-//! Where the [`Recorder`](crate::Recorder) aggregates (counters,
-//! histograms), this module keeps the *timeline*: one span per compile
-//! pass, per engine job, per campaign shard, with instant events for
-//! cache hits, artifact reuse, faults, and deadline expiries. The
-//! export loads directly in Perfetto / `chrome://tracing`.
+//! This module has no span type of its own: a [`Span`](crate::Span) of
+//! a traced [`Stage`] writes its begin/end pair here from the same two
+//! clock reads that feed the stage histogram, so a trace holds one span
+//! per compile pass, engine job, campaign shard and merge, and cache
+//! wait, named after the stage. Instants come from the counters that
+//! mark the timeline ([`add`](crate::add)) and from [`instant`] for the
+//! fault markers that carry a message.
 //!
-//! The contract matches the rest of `na-telemetry`:
-//!
-//! * **Disabled fast path** — every site is one relaxed atomic load
-//!   plus a branch when tracing is off (the default).
-//! * **Strictly observational** — no RNG draws, no float folds, no
-//!   change to any output byte (`tests/trace_guard.rs` pins this).
-//! * **Order-independent merge** — events land in thread-local
-//!   buffers; workers flush at join and the export stable-sorts by
-//!   `(tid, timestamp)`, so the file content is deterministic in
-//!   structure at any worker count.
+//! The contract matches the rest of `na-telemetry`: one relaxed load
+//! and a branch per site when tracing is off (the default); no RNG
+//! draws, float folds or output bytes change (`tests/trace_guard.rs`);
+//! and events flushed from each thread's buffer at join are
+//! stable-sorted by `(tid, timestamp)` at export, so the file is
+//! deterministic in structure at any worker count.
 //!
 //! Span identity is explicit: every span gets a process-unique id and
 //! records its parent id (the enclosing span on the same thread, or an
-//! explicitly passed parent for cross-thread edges such as campaign
-//! shards under their job span). Ids travel in the Chrome `args` map
-//! (`id`, `parent`), since the trace-event format itself only nests by
-//! timestamp within a single track.
+//! explicit [`Parent`] for cross-thread edges such as campaign shards
+//! under their job span). Ids travel in the Chrome `args` map (`id`,
+//! `parent`), since the format itself only nests by timestamp within
+//! one track.
 
+use crate::{Parent, Stage};
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-/// Global switch. Off by default; a disabled event site is one
-/// relaxed load + branch.
-static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Process-unique span id allocator. 0 means "no span".
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
@@ -45,6 +41,9 @@ static NEXT_LAZY_TID: AtomicU64 = AtomicU64::new(LAZY_TID_BASE);
 /// Events dropped because a thread buffer hit [`BUFFER_CAP`].
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 
+/// Events flushed from every thread, awaiting export.
+static MERGED: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
+
 /// First lazily allocated tid (see [`NEXT_LAZY_TID`]).
 pub const LAZY_TID_BASE: u64 = 100;
 
@@ -53,10 +52,9 @@ pub const LAZY_TID_BASE: u64 = 100;
 /// it does not interleave with whichever worker ran the merge.
 pub const JOB_TRACK_BASE: u64 = 1_000_000;
 
-/// Per-thread event-buffer capacity. Instrumentation is span-per-pass
-/// and span-per-job (never per-shot), so real runs sit far below this;
-/// if a buffer fills anyway we drop and count rather than grow
-/// unboundedly.
+/// Per-thread event-buffer capacity. Spans are per pass and per job
+/// (never per shot), so real runs sit far below this; if a buffer
+/// fills anyway we drop and count rather than grow unboundedly.
 const BUFFER_CAP: usize = 1 << 16;
 
 fn epoch() -> &'static Instant {
@@ -64,7 +62,8 @@ fn epoch() -> &'static Instant {
     EPOCH.get_or_init(Instant::now)
 }
 
-/// Nanoseconds since the process trace epoch.
+/// Nanoseconds since the process trace epoch: the one clock every
+/// span reads.
 pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
@@ -72,7 +71,7 @@ pub fn now_ns() -> u64 {
 /// Is tracing collecting? One relaxed load.
 #[inline]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    crate::sinks() & crate::TRACE != 0
 }
 
 /// Turn collection on or off. Enabling pins the trace epoch.
@@ -80,14 +79,7 @@ pub fn set_enabled(enabled: bool) {
     if enabled {
         epoch();
     }
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Allocate a process-unique span id (for spans whose begin/end are
-/// emitted manually via [`complete`], e.g. a campaign job span whose
-/// end is only known when the last shard finishes on another thread).
-pub fn alloc_span_id() -> u64 {
-    NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
+    crate::GLOBAL.set_sink(crate::TRACE, enabled);
 }
 
 /// An argument value attached to an event.
@@ -95,30 +87,6 @@ pub fn alloc_span_id() -> u64 {
 pub enum ArgValue {
     U64(u64),
     Str(String),
-}
-
-impl From<u64> for ArgValue {
-    fn from(v: u64) -> Self {
-        ArgValue::U64(v)
-    }
-}
-
-impl From<usize> for ArgValue {
-    fn from(v: usize) -> Self {
-        ArgValue::U64(v as u64)
-    }
-}
-
-impl From<String> for ArgValue {
-    fn from(v: String) -> Self {
-        ArgValue::Str(v)
-    }
-}
-
-impl From<&str> for ArgValue {
-    fn from(v: &str) -> Self {
-        ArgValue::Str(v.to_string())
-    }
 }
 
 /// Chrome trace-event phase.
@@ -148,262 +116,159 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
-struct LocalBuf {
+/// The calling thread's trace buffer (part of the crate's one
+/// thread-local).
+pub(crate) struct Buf {
     events: Vec<TraceEvent>,
     /// Stack of open span ids on this thread (implicit parents).
     stack: Vec<u64>,
+    /// Track id; 0 until the first event claims a lazy one.
     tid: u64,
 }
 
-impl LocalBuf {
-    fn new() -> Self {
-        LocalBuf {
+impl Buf {
+    pub(crate) const fn new() -> Self {
+        Buf {
             events: Vec::new(),
             stack: Vec::new(),
-            tid: NEXT_LAZY_TID.fetch_add(1, Ordering::Relaxed),
+            tid: 0,
         }
     }
 
-    fn push(&mut self, ev: TraceEvent) {
+    fn tid(&mut self) -> u64 {
+        if self.tid == 0 {
+            self.tid = NEXT_LAZY_TID.fetch_add(1, Ordering::Relaxed);
+        }
+        self.tid
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn push(
+        &mut self,
+        name: &'static str,
+        cat: &'static str,
+        phase: Phase,
+        ts_ns: u64,
+        tid: u64,
+        id: u64,
+        parent: u64,
+        args: Vec<(&'static str, ArgValue)>,
+    ) {
         if self.events.len() >= BUFFER_CAP {
             DROPPED.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        self.events.push(ev);
+        self.events.push(TraceEvent {
+            name,
+            cat,
+            phase,
+            ts_ns,
+            tid,
+            id,
+            parent,
+            args,
+        });
     }
-}
 
-thread_local! {
-    static LOCAL: std::cell::RefCell<LocalBuf> = std::cell::RefCell::new(LocalBuf::new());
-}
+    /// Writes a span's begin event; returns its id and, for a
+    /// [`Parent::Track`] span, its track (0 otherwise).
+    pub(crate) fn begin(
+        &mut self,
+        stage: Stage,
+        ts_ns: u64,
+        parent: Parent,
+        args: Vec<(&'static str, ArgValue)>,
+    ) -> (u64, u64) {
+        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+        let (tid, parent, track) = match parent {
+            Parent::Enclosing => (self.tid(), self.stack.last().copied().unwrap_or(0), 0),
+            Parent::Span(parent) => (self.tid(), parent, 0),
+            Parent::Track(track) => (track, 0, track),
+        };
+        let (name, cat) = (stage.name(), stage.category());
+        self.push(name, cat, Phase::Begin, ts_ns, tid, id, parent, args);
+        if track == 0 {
+            self.stack.push(id);
+        }
+        (id, track)
+    }
 
-fn merged() -> &'static Mutex<Vec<TraceEvent>> {
-    static MERGED: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
-    MERGED.get_or_init(|| Mutex::new(Vec::new()))
+    /// Writes a span's end event.
+    pub(crate) fn end(&mut self, stage: Stage, id: u64, track: u64, ts_ns: u64) {
+        let tid = if track != 0 {
+            track
+        } else {
+            // Pop our own id; tolerate a foreign top if spans ended
+            // out of order (they never do in practice).
+            if let Some(pos) = self.stack.iter().rposition(|&s| s == id) {
+                self.stack.remove(pos);
+            }
+            self.tid()
+        };
+        let (name, cat) = (stage.name(), stage.category());
+        self.push(name, cat, Phase::End, ts_ns, tid, id, 0, Vec::new());
+    }
+
+    /// Writes an instant under the innermost open span.
+    pub(crate) fn instant(
+        &mut self,
+        cat: &'static str,
+        name: &'static str,
+        args: Vec<(&'static str, ArgValue)>,
+    ) {
+        let parent = self.stack.last().copied().unwrap_or(0);
+        let tid = self.tid();
+        self.push(name, cat, Phase::Instant, now_ns(), tid, 0, parent, args);
+    }
+
+    /// Moves the buffered events into the export.
+    pub(crate) fn flush(&mut self) {
+        if !self.events.is_empty() {
+            MERGED.lock().unwrap().append(&mut self.events);
+        }
+    }
 }
 
 /// Pin this thread's track id (engine workers use their worker index
 /// so the Perfetto rows read `tid 1..=N`). Must be called before the
 /// thread records its first event to take effect from the start.
 pub fn set_thread_tid(tid: u64) {
-    if !is_enabled() {
-        return;
-    }
-    LOCAL.with(|l| l.borrow_mut().tid = tid);
-}
-
-/// Move this thread's buffered events into the global registry.
-/// Engine workers call this right before they join; the main thread's
-/// events are flushed by [`write_chrome_trace`] / [`take_events`].
-pub fn flush_local() {
-    if !is_enabled() {
-        return;
-    }
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        if l.events.is_empty() {
-            return;
-        }
-        let drained = std::mem::take(&mut l.events);
-        merged().lock().unwrap().extend(drained);
-    });
-}
-
-/// RAII guard for a span: records `Begin` on construction, `End` on
-/// drop. A disabled guard (id 0) is inert.
-pub struct SpanGuard {
-    id: u64,
-    name: &'static str,
-    cat: &'static str,
-}
-
-impl SpanGuard {
-    /// The span id, for explicit child links across threads
-    /// (0 when tracing is disabled).
-    pub fn id(&self) -> u64 {
-        self.id
+    if is_enabled() {
+        crate::with_local(|l| l.trace.tid = tid);
     }
 }
 
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if self.id == 0 {
-            return;
-        }
-        let ts_ns = now_ns();
-        LOCAL.with(|l| {
-            let mut l = l.borrow_mut();
-            // Pop our own id; tolerate a foreign top if guards were
-            // dropped out of order (they never are in practice).
-            if let Some(pos) = l.stack.iter().rposition(|&s| s == self.id) {
-                l.stack.remove(pos);
-            }
-            let tid = l.tid;
-            l.push(TraceEvent {
-                name: self.name,
-                cat: self.cat,
-                phase: Phase::End,
-                ts_ns,
-                tid,
-                id: self.id,
-                parent: 0,
-                args: Vec::new(),
-            });
-        });
-    }
-}
-
-fn begin_span(
+/// Record a thread-scoped instant event: the failure-domain markers
+/// that carry a message (instants without one come from
+/// [`add`](crate::add)). `args` is called only while tracing.
+pub fn instant(
     cat: &'static str,
     name: &'static str,
-    explicit_parent: Option<u64>,
-    args: Vec<(&'static str, ArgValue)>,
-) -> SpanGuard {
-    if !is_enabled() {
-        return SpanGuard { id: 0, name, cat };
-    }
-    let id = alloc_span_id();
-    let ts_ns = now_ns();
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        let parent = explicit_parent.unwrap_or_else(|| l.stack.last().copied().unwrap_or(0));
-        let tid = l.tid;
-        l.push(TraceEvent {
-            name,
-            cat,
-            phase: Phase::Begin,
-            ts_ns,
-            tid,
-            id,
-            parent,
-            args,
-        });
-        l.stack.push(id);
-    });
-    SpanGuard { id, name, cat }
-}
-
-/// Open a span; the parent is the innermost open span on this thread.
-pub fn span(cat: &'static str, name: &'static str) -> SpanGuard {
-    begin_span(cat, name, None, Vec::new())
-}
-
-/// Open a span with arguments.
-pub fn span_with(
-    cat: &'static str,
-    name: &'static str,
-    args: Vec<(&'static str, ArgValue)>,
-) -> SpanGuard {
-    begin_span(cat, name, None, args)
-}
-
-/// Open a span with an explicit parent id (cross-thread edges, e.g. a
-/// campaign shard under its job span).
-pub fn span_child_of(
-    cat: &'static str,
-    name: &'static str,
-    parent: u64,
-    args: Vec<(&'static str, ArgValue)>,
-) -> SpanGuard {
-    begin_span(cat, name, Some(parent), args)
-}
-
-/// Record a thread-scoped instant event.
-pub fn instant(cat: &'static str, name: &'static str, args: Vec<(&'static str, ArgValue)>) {
-    if !is_enabled() {
-        return;
-    }
-    let ts_ns = now_ns();
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        let parent = l.stack.last().copied().unwrap_or(0);
-        let tid = l.tid;
-        l.push(TraceEvent {
-            name,
-            cat,
-            phase: Phase::Instant,
-            ts_ns,
-            tid,
-            id: 0,
-            parent,
-            args,
-        });
-    });
-}
-
-/// Emit a complete (begin + end) span with explicit timestamps onto an
-/// explicit track. Used for spans whose lifetime crosses threads: the
-/// whole-job span of a sharded campaign begins when the fan is created
-/// and ends on whichever worker merges the last shard.
-#[allow(clippy::too_many_arguments)]
-pub fn complete(
-    cat: &'static str,
-    name: &'static str,
-    tid: u64,
-    begin_ns: u64,
-    end_ns: u64,
-    id: u64,
-    parent: u64,
-    args: Vec<(&'static str, ArgValue)>,
+    args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
 ) {
-    if !is_enabled() {
-        return;
+    if is_enabled() {
+        crate::with_local(|l| l.trace.instant(cat, name, args()));
     }
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        l.push(TraceEvent {
-            name,
-            cat,
-            phase: Phase::Begin,
-            ts_ns: begin_ns,
-            tid,
-            id,
-            parent,
-            args,
-        });
-        l.push(TraceEvent {
-            name,
-            cat,
-            phase: Phase::End,
-            ts_ns: end_ns.max(begin_ns),
-            tid,
-            id,
-            parent: 0,
-            args: Vec::new(),
-        });
-    });
 }
 
 /// Flush this thread and drain every merged event, stable-sorted by
 /// `(tid, ts_ns)`. Leaves the registry empty.
 pub fn take_events() -> Vec<TraceEvent> {
-    flush_local();
-    let mut events = std::mem::take(&mut *merged().lock().unwrap());
+    crate::flush_local();
+    let mut events = std::mem::take(&mut *MERGED.lock().unwrap());
     events.sort_by_key(|e| (e.tid, e.ts_ns));
     events
-}
-
-/// Number of events flushed into the global registry so far (after
-/// [`flush_local`]); test hook for non-vacuity assertions.
-pub fn merged_len() -> usize {
-    merged().lock().unwrap().len()
-}
-
-/// Events dropped on full thread buffers (0 in any sane run).
-pub fn dropped() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
 }
 
 /// Clear all trace state (merged events, drop counter). Thread-local
 /// buffers of *other* threads are untouched, so call between runs,
 /// not mid-run.
 pub fn reset() {
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        l.events.clear();
-        l.stack.clear();
+    crate::with_local(|l| {
+        l.trace.events.clear();
+        l.trace.stack.clear();
     });
-    merged().lock().unwrap().clear();
+    MERGED.lock().unwrap().clear();
     DROPPED.store(0, Ordering::Relaxed);
 }
 
@@ -525,6 +390,7 @@ pub fn write_chrome_trace<W: Write>(w: &mut W) -> io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{time, Span, Stage};
 
     // Trace state is process-global; keep every test under one lock.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -538,9 +404,11 @@ mod tests {
         set_enabled(false);
         reset();
         {
-            let s = span("test", "noop");
+            let s = time(Stage::Job);
             assert_eq!(s.id(), 0);
-            instant("test", "nothing", Vec::new());
+            instant("test", "nothing", || panic!("args built while disabled"));
+            crate::add(crate::Counter::CompileCacheHits, 1);
+            assert_eq!(s.finish(), 0, "an inert span reads no clock");
         }
         assert_eq!(take_events().len(), 0);
     }
@@ -552,12 +420,17 @@ mod tests {
         reset();
         let parent_id;
         {
-            let outer = span("test", "outer");
+            let outer = time(Stage::Job);
             parent_id = outer.id();
             assert_ne!(parent_id, 0);
             {
-                let _inner = span_with("test", "inner", vec![("k", ArgValue::U64(7))]);
-                instant("test", "tick", Vec::new());
+                let _inner = Span::open(Stage::Lower, false, Parent::Enclosing, || {
+                    vec![("k", ArgValue::U64(7))]
+                });
+                crate::add(crate::Counter::CompileCacheHits, 1);
+                // Untraced stages and counters write nothing.
+                let _shot = time(Stage::Shot);
+                crate::add(crate::Counter::ShotsAttempted, 1);
             }
         }
         let events = take_events();
@@ -567,11 +440,15 @@ mod tests {
         let ends = events.iter().filter(|e| e.phase == Phase::End).count();
         assert_eq!(begins.len(), 2);
         assert_eq!(ends, 2);
-        let inner = begins.iter().find(|e| e.name == "inner").unwrap();
+        let inner = begins.iter().find(|e| e.name == "lower").unwrap();
         assert_eq!(inner.parent, parent_id);
-        let tick = events.iter().find(|e| e.name == "tick").unwrap();
-        assert_eq!(tick.phase, Phase::Instant);
-        assert_ne!(tick.parent, 0);
+        assert_eq!(inner.cat, "pass");
+        let hit = events
+            .iter()
+            .find(|e| e.name == "compile_cache_hits")
+            .unwrap();
+        assert_eq!((hit.phase, hit.cat), (Phase::Instant, "cache"));
+        assert_ne!(hit.parent, 0);
     }
 
     #[test]
@@ -579,23 +456,41 @@ mod tests {
         let _g = lock();
         set_enabled(true);
         reset();
-        let id = alloc_span_id();
-        complete(
-            "job",
-            "job",
-            JOB_TRACK_BASE + 3,
-            10,
-            20,
-            id,
-            0,
-            vec![("job", ArgValue::U64(3))],
+        let job = Span::open(
+            Stage::CampaignJob,
+            false,
+            Parent::Track(JOB_TRACK_BASE + 3),
+            || vec![("job", ArgValue::U64(3))],
         );
+        let job_id = job.id();
+        // A child on another thread links to the job span by id, and
+        // the job span ends there too.
+        let shard_parent = std::thread::scope(|s| {
+            s.spawn(move || {
+                let shard = Span::open(Stage::Shard, false, Parent::Span(job_id), Vec::new);
+                drop(shard);
+                job.finish();
+                crate::flush_local();
+            })
+            .join()
+            .unwrap();
+            job_id
+        });
         let events = take_events();
         set_enabled(false);
-        assert_eq!(events.len(), 2);
-        assert!(events.iter().all(|e| e.tid == JOB_TRACK_BASE + 3));
-        assert_eq!(events[0].ts_ns, 10);
-        assert_eq!(events[1].ts_ns, 20);
+        assert_eq!(events.len(), 4);
+        let on_track: Vec<_> = events
+            .iter()
+            .filter(|e| e.tid == JOB_TRACK_BASE + 3)
+            .collect();
+        assert_eq!(on_track.len(), 2);
+        assert!(on_track.iter().all(|e| e.name == "campaign_job"));
+        assert!(on_track[0].ts_ns <= on_track[1].ts_ns);
+        let shard = events
+            .iter()
+            .find(|e| e.name == "shard" && e.phase == Phase::Begin)
+            .unwrap();
+        assert_eq!(shard.parent, shard_parent);
     }
 
     #[test]
@@ -604,11 +499,9 @@ mod tests {
         set_enabled(true);
         reset();
         {
-            let _s = span_with(
-                "test",
-                "quoted \"name\" arg",
-                vec![("msg", ArgValue::Str("line1\nline2".into()))],
-            );
+            let _s = Span::open(Stage::Job, false, Parent::Enclosing, || {
+                vec![("msg", ArgValue::Str("line1\n\"quoted\"".into()))]
+            });
         }
         let mut buf = Vec::new();
         let n = write_chrome_trace(&mut buf).unwrap();
@@ -618,6 +511,7 @@ mod tests {
         assert!(text.trim_start().starts_with('['));
         assert!(text.trim_end().ends_with(']'));
         assert!(text.contains("\\n"));
+        assert!(text.contains("\\\"quoted\\\""));
         assert!(text.contains("\"ph\":\"B\""));
         assert!(text.contains("\"ph\":\"E\""));
     }
@@ -627,13 +521,37 @@ mod tests {
         let _g = lock();
         set_enabled(true);
         reset();
-        let id = alloc_span_id();
-        complete("t", "late_track", 50, 5, 6, id, 0, Vec::new());
-        let id2 = alloc_span_id();
-        complete("t", "early_track", 2, 9, 11, id2, 0, Vec::new());
+        let late_track = Span::open(Stage::CampaignJob, false, Parent::Track(50), Vec::new);
+        let early_track = Span::open(Stage::CampaignJob, false, Parent::Track(2), Vec::new);
+        drop(late_track);
+        drop(early_track);
         let events = take_events();
         set_enabled(false);
         let tids: Vec<u64> = events.iter().map(|e| e.tid).collect();
         assert_eq!(tids, vec![2, 2, 50, 50]);
+    }
+
+    #[test]
+    fn one_measurement_feeds_histogram_trace_and_caller() {
+        let _g = lock();
+        set_enabled(true);
+        crate::set_enabled(true);
+        reset();
+        crate::reset();
+        let ns = Span::open(Stage::Finalize, true, Parent::Enclosing, Vec::new).finish();
+        let snap = crate::snapshot();
+        let events = take_events();
+        crate::set_enabled(false);
+        set_enabled(false);
+        crate::reset();
+        assert_eq!(snap.stage("finalize").unwrap().total_ns, ns);
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[1].ts_ns - events[0].ts_ns, ns);
+        // With both sinks off, `measure` still reads the clock for the
+        // caller, and records nowhere.
+        let span = Span::open(Stage::Finalize, true, Parent::Enclosing, Vec::new);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        assert!(span.finish() >= 1_000_000);
+        assert!(crate::snapshot().is_empty());
     }
 }
