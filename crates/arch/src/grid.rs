@@ -62,13 +62,17 @@ impl Grid {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero, or if the site count
+    /// `width × height` overflows `u32`.
     pub fn new(width: u32, height: u32) -> Self {
         assert!(width > 0 && height > 0, "grid dimensions must be positive");
+        let sites = width
+            .checked_mul(height)
+            .expect("grid site count must fit in u32");
         Grid {
             width,
             height,
-            usable: vec![true; (width * height) as usize],
+            usable: vec![true; sites as usize],
         }
     }
 
@@ -87,7 +91,7 @@ impl Grid {
     /// Total number of trap sites (including holes).
     #[inline]
     pub fn num_sites(&self) -> usize {
-        (self.width * self.height) as usize
+        self.usable.len()
     }
 
     /// Number of sites currently holding an atom.
@@ -368,6 +372,13 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_dimension_panics() {
         Grid::new(0, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "fit in u32")]
+    fn site_count_overflow_panics_instead_of_wrapping() {
+        // 65536² is 2³², which wraps to 0 in u32.
+        Grid::new(65536, 65536);
     }
 
     #[test]

@@ -47,6 +47,9 @@ impl Benchmark {
         Benchmark::Qaoa,
     ];
 
+    /// The smallest size budget every family supports.
+    pub const MIN_SIZE: u32 = 4;
+
     /// The display name used in figures.
     pub fn name(self) -> &'static str {
         match self {
@@ -74,9 +77,13 @@ impl Benchmark {
     ///
     /// # Panics
     ///
-    /// Panics if `size < 4` (the smallest size every family supports).
+    /// Panics if `size` is below [`Benchmark::MIN_SIZE`].
     pub fn generate(self, size: u32, seed: u64) -> Circuit {
-        assert!(size >= 4, "benchmark size must be at least 4 qubits");
+        assert!(
+            size >= Self::MIN_SIZE,
+            "benchmark size must be at least {} qubits",
+            Self::MIN_SIZE
+        );
         match self {
             Benchmark::Bv => bv(size),
             Benchmark::Cnu => cnu(cnu_controls_for_size(size)),

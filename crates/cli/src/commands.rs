@@ -10,7 +10,7 @@ use crate::args::{ArgError, Args};
 use na_arch::{AssemblySimulator, Grid, RestrictionPolicy};
 use na_benchmarks::{Benchmark, Workload};
 use na_circuit::parse_qasm;
-use na_core::{compile, verify, CompiledCircuit, CompilerConfig};
+use na_core::{compile, CompiledCircuit, CompilerConfig};
 use na_engine::{
     derive_seed, CompileCache, Engine, ExperimentSpec, FailureSummary, JsonlSink, LossSpec,
     Outcome, RunRecord, Task,
@@ -50,6 +50,12 @@ fn parse_strategy(name: &str) -> Result<Strategy, ArgError> {
         .map_err(|e: na_loss::ParseStrategyError| ArgError(e.to_string()))
 }
 
+/// The most trap sites a `--grid` may have. Compiling allocates
+/// per-site tables (placement, neighbour lists of up to π·MID² entries
+/// per site), so a larger device would exhaust memory before the first
+/// gate is placed.
+const MAX_GRID_SITES: u64 = 1 << 20;
+
 fn parse_grid(spec: &str) -> Result<Grid, ArgError> {
     let (w, h) = spec
         .split_once('x')
@@ -62,6 +68,13 @@ fn parse_grid(spec: &str) -> Result<Grid, ArgError> {
         .map_err(|_| ArgError(format!("bad grid height {h:?}")))?;
     if w == 0 || h == 0 {
         return Err(ArgError("grid dimensions must be positive".into()));
+    }
+    // Checked in u64, where a product of two u32s cannot wrap.
+    if u64::from(w) * u64::from(h) > MAX_GRID_SITES {
+        return Err(ArgError(format!(
+            "grid {w}x{h} exceeds the cap of {MAX_GRID_SITES} sites (1024x1024): \
+             compiling builds tables for every site"
+        )));
     }
     Ok(Grid::new(w, h))
 }
@@ -141,6 +154,13 @@ fn common(args: &Args) -> Result<Common, ArgError> {
         }
     };
     let size = args.parse_or("size", 30u32)?;
+    if matches!(workload, Workload::Bench(_)) && size < Benchmark::MIN_SIZE {
+        return Err(ArgError(format!(
+            "--size must be at least {} qubits (the smallest size every benchmark \
+             supports), got {size}",
+            Benchmark::MIN_SIZE
+        )));
+    }
     let grid = parse_grid(args.get_or("grid", "10x10"))?;
     let mid = match args.get("mid") {
         Some(raw) => parse_mid(raw, "mid")?,
@@ -184,12 +204,14 @@ fn job_timeout(args: &Args) -> Result<Option<Duration>, ArgError> {
             let secs: f64 = raw
                 .parse()
                 .map_err(|_| ArgError(format!("invalid value {raw:?} for --job-timeout")))?;
-            if !secs.is_finite() || secs < 0.0 {
-                return Err(ArgError(
-                    "--job-timeout must be a non-negative number of seconds".into(),
-                ));
-            }
-            Ok(Some(Duration::from_secs_f64(secs)))
+            // Rejects negative, non-finite and overflowing values alike.
+            Duration::try_from_secs_f64(secs).map(Some).map_err(|_| {
+                ArgError(format!(
+                    "--job-timeout must be a non-negative number of seconds below {:.1e}, \
+                     got {raw:?}",
+                    Duration::MAX.as_secs_f64()
+                ))
+            })
         }
         None if args.flag("job-timeout") => {
             Err(ArgError("--job-timeout expects a number of seconds".into()))
@@ -254,14 +276,12 @@ fn finish_rows(records: &[RunRecord]) -> CmdStatus {
     }
 }
 
-/// Compiles the command's circuit through a [`CompileCache`] — the
-/// same code path the engine commands use, so one-shot commands report
-/// real cache/stage telemetry — and verifies the schedule.
+/// Compiles and verifies the command's circuit through a self-checking
+/// [`CompileCache`] — the same code path the engine commands use, so
+/// one-shot commands report real cache/stage telemetry.
 fn compile_common(c: &Common) -> Result<std::sync::Arc<CompiledCircuit>, Box<dyn Error>> {
     let program = c.circuit();
-    let compiled = CompileCache::new().get_or_compile(&program, &c.grid, &c.config)?;
-    verify(&compiled, &c.grid)?;
-    Ok(compiled)
+    Ok(CompileCache::self_checking().get_or_compile(&program, &c.grid, &c.config)?)
 }
 
 /// Uniform cache-efficacy report for every compiling subcommand: when
@@ -290,10 +310,10 @@ fn report_cache_stats() {
 /// `natoms compile`
 pub fn compile_cmd(args: &Args) -> CmdResult {
     let c = common(args)?;
-    // `--passes` compiles through the self-checking pipeline instead
-    // of the cache: every pass (including `verify`) is a real timed
-    // measurement, and the per-pass table is printed after the
-    // metrics. The compiled schedule is bit-identical either way.
+    // `--passes` compiles outside the cache with `compile_with_report`
+    // to get the per-pass table, printed after the metrics. Both paths
+    // run the self-checking pipeline, so the schedule is verified and
+    // bit-identical either way.
     let (compiled, pass_report) = if args.flag("passes") {
         let program = c.circuit();
         let (compiled, report) = na_core::compile_with_report(&program, &c.grid, &c.config)?;
@@ -437,11 +457,10 @@ pub fn reproduce_cmd(args: &Args) -> CmdResult {
 pub fn success_cmd(args: &Args) -> CmdResult {
     let c = common(args)?;
     let error: f64 = args.parse_or("error", 1e-3)?;
-    // One cache for both architecture points of the comparison.
-    let cache = CompileCache::new();
+    // One self-checking cache verifies both architecture points.
+    let cache = CompileCache::self_checking();
     let program = c.circuit();
     let compiled = cache.get_or_compile(&program, &c.grid, &c.config)?;
-    verify(&compiled, &c.grid)?;
     let na = success_probability(&compiled, &NoiseParams::neutral_atom(error));
     println!(
         "NA  MID {}: success {:.4} (gates {:.4}, coherence {:.6}, {:.1} us/shot)",
@@ -1430,6 +1449,10 @@ mod tests {
         assert_eq!((g.width(), g.height()), (8, 12));
         assert!(parse_grid("8by12").is_err());
         assert!(parse_grid("0x5").is_err());
+        assert!(parse_grid("1024x1024").is_ok());
+        // 65536² wraps to 0 in u32; both are over the site cap.
+        assert!(parse_grid("65536x65536").is_err());
+        assert!(parse_grid("1025x1024").is_err());
     }
 
     #[test]
@@ -1678,8 +1701,12 @@ mod tests {
 
     #[test]
     fn bad_job_timeouts_are_rejected() {
-        let err = sweep_cmd(&parse(&["sweep", "--size", "12", "--job-timeout", "-1"])).unwrap_err();
-        assert!(err.to_string().contains("non-negative"));
+        // 1e300 s is finite but overflows `Duration`.
+        for raw in ["-1", "1e300", "inf", "nan"] {
+            let args = parse(&["sweep", "--size", "12", "--job-timeout", raw]);
+            let err = sweep_cmd(&args).unwrap_err();
+            assert!(err.to_string().contains("non-negative"), "{raw}: {err}");
+        }
         let err = sweep_cmd(&parse(&["sweep", "--size", "12", "--job-timeout"])).unwrap_err();
         assert!(err.to_string().contains("expects a number of seconds"));
     }

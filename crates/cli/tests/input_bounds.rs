@@ -1,6 +1,6 @@
-//! Bad MIDs, figure names and QASM inputs end in exit 1 with a typed
-//! message, and huge MIDs compile promptly, instead of panicking,
-//! overflowing the stack or hanging.
+//! Bad MIDs, sizes, grids, job timeouts, figure names and QASM inputs
+//! end in exit 1 with a typed message, and huge MIDs compile promptly,
+//! instead of panicking, overflowing the stack, aborting or hanging.
 //!
 //! Before the shared MID parser and the clamped stencil radius,
 //! `--mid nan` panicked in `CompilerConfig::new` (exit 101), `--mid
@@ -59,6 +59,40 @@ fn non_finite_and_sub_unit_mids_are_rejected() {
     assert_rejected(&["sweep", "--size", "12", "--mids", "-3"], bad);
     assert_rejected(&["sweep", "--size", "12", "--mids", "0,nan"], bad);
     assert_rejected(&["sweep", "--size", "12", "--mids", "2,inf"], bad);
+}
+
+#[test]
+fn small_sizes_huge_grids_and_timeouts_are_rejected_promptly() {
+    // Checked before any circuit or grid is built: the generators
+    // assert size >= 4, `Duration` cannot hold 1e300 s, and 65536² and
+    // 100000² sites overflow u32.
+    let probes: [(&[&str], &str); 5] = [
+        (
+            &["compile", "--size", "0"],
+            "--size must be at least 4 qubits",
+        ),
+        (
+            &["compile", "--size", "3"],
+            "--size must be at least 4 qubits",
+        ),
+        (
+            &["sweep", "--job-timeout", "1e300"],
+            "--job-timeout must be a non-negative number of seconds",
+        ),
+        (
+            &["compile", "--grid", "65536x65536"],
+            "exceeds the cap of 1048576 sites",
+        ),
+        (
+            &["compile", "--grid", "100000x100000"],
+            "exceeds the cap of 1048576 sites",
+        ),
+    ];
+    for (args, message) in probes {
+        let start = Instant::now();
+        assert_rejected(args, message);
+        assert!(start.elapsed() < Duration::from_secs(5), "{args:?}");
+    }
 }
 
 #[test]

@@ -170,8 +170,13 @@ pub enum CompileError {
     /// The pipeline's in-line `verify` pass rejected the schedule it
     /// had just produced — a compiler bug by definition. Only emitted
     /// by self-checking pipelines
-    /// ([`Pipeline::self_checking`](crate::passes::Pipeline::self_checking));
-    /// the standard pipeline leaves verification to its callers.
+    /// ([`Pipeline::self_checking`](crate::passes::Pipeline::self_checking)):
+    /// `compile_with_report`, and a verified engine's compile cache,
+    /// which memoizes it like any other failed point. [`compile`] and
+    /// [`compile_with`] leave verification off.
+    ///
+    /// [`compile`]: crate::compile
+    /// [`compile_with`]: crate::compile_with
     VerifyFailed {
         /// The rendered [`VerifyError`](crate::VerifyError).
         detail: String,

@@ -553,10 +553,10 @@ impl Pass for RouteSchedule {
     }
 }
 
-/// `verify`: optional in-pipeline schedule verification (the standard
-/// pipeline keeps it disabled — the engine and CLI verify explicitly
-/// where their contracts demand it). Stats: `ops_checked` or
-/// `skipped`.
+/// `verify`: optional in-pipeline schedule verification, enabled only
+/// in [`Pipeline::self_checking`] (the pipeline a verified compile
+/// cache runs, so each compile key is checked once). Stats:
+/// `ops_checked` or `skipped`.
 struct Verify {
     enabled: bool,
 }
@@ -641,8 +641,8 @@ impl Pipeline {
 
     /// [`Pipeline::standard`] with the `verify` pass enabled: every
     /// compile replays its own schedule against the hardware
-    /// constraints before finalizing (the introspection entry points
-    /// use this so the verify row carries a real measurement).
+    /// constraints before finalizing. A self-checking compile cache
+    /// and `compile_with_report` run it.
     pub fn self_checking() -> Self {
         Pipeline {
             passes: vec![

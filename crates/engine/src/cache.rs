@@ -174,12 +174,25 @@ pub struct CompileCache {
     artifacts: ArtifactStore,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Compile through [`Pipeline::self_checking`] instead of
+    /// [`Pipeline::standard`]; fixed when the cache is built.
+    self_checking: bool,
 }
 
 impl CompileCache {
-    /// An empty cache.
+    /// An empty cache whose compiles leave verification off.
     pub fn new() -> Self {
         CompileCache::default()
+    }
+
+    /// An empty cache that compiles through [`Pipeline::self_checking`]:
+    /// each key's schedule is verified once, inside the pipeline, and a
+    /// rejected one is cached as [`CompileError::VerifyFailed`].
+    pub fn self_checking() -> Self {
+        CompileCache {
+            self_checking: true,
+            ..CompileCache::default()
+        }
     }
 
     /// Compiles `circuit` on `grid` under `config`, or returns the
@@ -245,7 +258,11 @@ impl CompileCache {
                     let mut scratch = s.borrow_mut();
                     let mut ctx = PassContext::new(circuit, grid, config, &mut scratch);
                     ctx.reuse_from(&self.artifacts);
-                    let pipeline = Pipeline::standard();
+                    let pipeline = if self.self_checking {
+                        Pipeline::self_checking()
+                    } else {
+                        Pipeline::standard()
+                    };
                     if na_telemetry::is_enabled() {
                         let (compiled, passes) = pipeline.run_reported(&mut ctx)?;
                         report = Some(Arc::new(passes));

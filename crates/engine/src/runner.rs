@@ -34,7 +34,6 @@ use std::time::Duration;
 pub struct Engine {
     workers: usize,
     cache: Arc<CompileCache>,
-    verify: bool,
     job_timeout: Option<Duration>,
 }
 
@@ -58,7 +57,6 @@ impl Engine {
         Engine {
             workers: workers.max(1),
             cache: Arc::new(CompileCache::new()),
-            verify: false,
             job_timeout: None,
         }
     }
@@ -73,14 +71,14 @@ impl Engine {
         self
     }
 
-    /// Enables schedule verification: every compiled circuit a
-    /// compile-family task produces is replayed through
-    /// [`na_core::verify`] before its metrics are reported, and a
-    /// constraint violation becomes an [`Outcome::Failed`] row.
+    /// Enables schedule verification: the engine gets a fresh
+    /// [`CompileCache::self_checking`], so every schedule compiled
+    /// through the cache (campaigns included) is verified once per
+    /// compile key, and a violation becomes an [`Outcome::Failed`] row.
     /// Used by `natoms reproduce`; off by default (verification
     /// replays the whole schedule).
     pub fn verified(mut self) -> Self {
-        self.verify = true;
+        self.cache = Arc::new(CompileCache::self_checking());
         self
     }
 
@@ -267,9 +265,7 @@ impl Engine {
             Some(budget) => na_faults::Deadline::after(budget),
             None => na_faults::Deadline::UNBOUNDED,
         });
-        match catch_unwind(AssertUnwindSafe(|| {
-            execute_job(job, &self.cache, self.verify)
-        })) {
+        match catch_unwind(AssertUnwindSafe(|| execute_job(job, &self.cache))) {
             Ok(record) => record,
             Err(payload) => {
                 // An unwind mid-placement may have left this worker's
@@ -544,7 +540,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// nanoseconds this job accrued on the executing thread (wall-clock,
 /// hence deliberately absent — `None` — in the deterministic default
 /// configuration).
-fn execute_job(job: &Job, cache: &CompileCache, verify: bool) -> RunRecord {
+fn execute_job(job: &Job, cache: &CompileCache) -> RunRecord {
     // Failure boundary at job entry: the chaos failpoint and the
     // cheapest possible deadline check (a job whose budget is already
     // spent fails typed before doing any work).
@@ -556,25 +552,10 @@ fn execute_job(job: &Job, cache: &CompileCache, verify: bool) -> RunRecord {
     }
     let stage_mark = na_telemetry::is_enabled().then(na_telemetry::mark_stages);
     let circuit = job.circuit();
-    // Compile through the cache, optionally replaying the schedule
-    // through the constraint verifier (Engine::verified).
-    let compile_cached = |outcome: &dyn Fn(Arc<na_core::CompiledCircuit>) -> Outcome| match cache
-        .get_or_compile(&circuit, &job.grid, &job.config)
-    {
-        Ok(compiled) => {
-            if verify {
-                if let Err(e) = na_core::verify(&compiled, &job.grid) {
-                    return Outcome::Failed {
-                        unroutable: false,
-                        panicked: false,
-                        deadline: false,
-                        error: format!("schedule verification failed: {e}"),
-                    };
-                }
-            }
-            outcome(compiled)
-        }
-        Err(e) => Outcome::from_error(&e),
+    let compile_cached = |outcome: &dyn Fn(Arc<na_core::CompiledCircuit>) -> Outcome| {
+        cache
+            .get_or_compile(&circuit, &job.grid, &job.config)
+            .map_or_else(|e| Outcome::from_error(&e), outcome)
     };
     let outcome = match &job.task {
         Task::Compile => compile_cached(&|compiled| Outcome::Compiled {
